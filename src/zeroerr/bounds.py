@@ -308,7 +308,7 @@ def c_rel_bounds(pg: ProbabilisticGraph, max_n: int = 1, **kwargs) -> BoundInter
     hbar = hbar_bounds(pg, max_n=max_n, **kwargs)
     h = pg.dist.entropy()
     return BoundInterval(
-        max(0.0, h - hbar.hi), h - hbar.lo,
+        max(0.0, h - hbar.hi), max(0.0, h - hbar.lo),
         Certificate("marton_reflect", {"entropy": h, "from": hbar.hi_cert}),
         Certificate("marton_reflect", {"entropy": h, "from": hbar.lo_cert}),
     )

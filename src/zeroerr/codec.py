@@ -401,7 +401,8 @@ def build_channel_code(channel: ChannelSpec, n: int, target: str = "exact",
         mask = alpha_exact(power, budget).witness.vertices
     else:
         mask = greedy_maximal_independent_set(power).vertices
-    assert is_independent(power, mask)
+    if not is_independent(power, mask):
+        raise ZeroErrError("codebook is not independent in the AND power")
     words = tuple(index_sequence(v, g.n, n) for v in bits_of(mask))
     return Codebook(n, words, True)
 

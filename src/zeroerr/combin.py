@@ -186,7 +186,8 @@ class _CliqueSolver:
 def max_clique(g: Graph, budget: Budget = DEFAULT_BUDGET):
     """(size, vertex bitset, exact flag); inexact results are still cliques."""
     size, mask, exact = _CliqueSolver(g, budget).solve()
-    assert is_clique(g, mask)
+    if not is_clique(g, mask):
+        raise ZeroErrError("clique solver returned a non-clique")
     return size, mask, exact
 
 
@@ -208,7 +209,8 @@ def alpha_exact(g: Graph, budget: Budget = DEFAULT_BUDGET) -> AlphaResult:
             exact = exact and e
             for v in bits_of(m):
                 mask |= 1 << keep[v]
-    assert is_independent(g, mask)
+    if not is_independent(g, mask):
+        raise ZeroErrError("alpha solver returned a dependent set")
     return AlphaResult(size, IndependentSetWitness(mask, size), exact)
 
 
@@ -327,13 +329,15 @@ def chromatic_number_exact(g: Graph, budget: Budget = DEFAULT_BUDGET) -> ChiResu
             for local, v in enumerate(keep):
                 color_of[v] = res.coloring.color_of[local]
         coloring = Coloring(tuple(color_of), k)
-        assert validate_coloring(g, coloring)
+        if not validate_coloring(g, coloring):
+            raise ZeroErrError("chromatic solver returned an improper coloring")
         return ChiResult(k, coloring, exact)
     clique_size, _, clique_exact = max_clique(g, budget)
     solver = _ChiSolver(g, budget, clique_size if clique_exact else 1)
     k, colors, exact = solver.solve()
     coloring = Coloring(colors, k)
-    assert validate_coloring(g, coloring)
+    if not validate_coloring(g, coloring):
+        raise ZeroErrError("chromatic solver returned an improper coloring")
     return ChiResult(k, coloring, exact)
 
 
@@ -480,7 +484,8 @@ def _min_entropy_exact(pg: ProbabilisticGraph) -> HChiResult:
         for v in bits_of(mask):
             color_of[v] = c
     coloring = Coloring(tuple(color_of), len(classes))
-    assert validate_coloring(g, coloring)
+    if not validate_coloring(g, coloring):
+        raise ZeroErrError("entropy coloring DP returned an improper coloring")
     return HChiResult(value, coloring, True)
 
 
@@ -509,5 +514,6 @@ def _min_entropy_heuristic(pg: ProbabilisticGraph, limit: int) -> HChiResult:
         remaining &= ~chosen
         color += 1
     coloring = Coloring(tuple(color_of), color)
-    assert validate_coloring(g, coloring)
+    if not validate_coloring(g, coloring):
+        raise ZeroErrError("greedy entropy coloring returned an improper coloring")
     return HChiResult(_entropy_of_classes(masses), coloring, False)

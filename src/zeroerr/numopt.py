@@ -37,6 +37,65 @@ class KornerSolution:
     history: list = field(default_factory=list)
 
 
+def _membership(g: Graph, mis_limit: int):
+    """Maximal independent sets of g and their 0/1 membership matrix
+    member[w, x] = 1[x in w]."""
+    sets = [w.vertices for w in maximal_independent_sets(g, mis_limit)]
+    member = np.zeros((len(sets), g.n))
+    for k, mask in enumerate(sets):
+        for v in bits_of(mask):
+            member[k, v] = 1.0
+    return sets, member
+
+
+def _korner_iterate(member: np.ndarray, p: np.ndarray, r0: np.ndarray,
+                    tol: float, max_iter: int):
+    """Fixed-point iteration r <- r * (M @ (P / c)) of the Koerner objective
+    J(r) = -sum_x P(x) log2 c(x), c = M^T r, started from r0.
+
+    Returns (r, c, J, iterations, converged, history).  r0 must cover every
+    vertex of positive weight.  Only the support of P enters the division
+    and the logarithm.  A covered support vertex stays covered (the new c(x)
+    is at least P(x)), so the loop needs no guards.  The products keep the
+    full matrix so that their summation order, and hence every bit of the
+    result, does not depend on which vertices have zero weight.
+    """
+    member_t = member.T
+    support = p > 0
+    p_s = p[support]
+    r = np.array(r0, dtype=float)
+    cov = member_t.dot(r)
+    ratio = np.zeros(len(p))
+    prev = float(-(p_s * np.log2(cov[support])).sum())
+    history = [prev]
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        np.divide(p, cov, out=ratio, where=support)
+        r *= member.dot(ratio)
+        r /= r.sum()
+        cov = member_t.dot(r)
+        cur = float(-(p_s * np.log2(cov[support])).sum())
+        history.append(cur)
+        converged = prev - cur < tol
+        prev = cur
+        if converged:
+            break
+    return r, cov, prev, iterations, converged, history
+
+
+def _korner_gap(member: np.ndarray, p: np.ndarray, cov: np.ndarray) -> float:
+    """log2 max_w sum_{x in w} P(x) / c(x) for a coverage c of the support.
+
+    By Jensen's inequality J(r') >= J(r) - log2 sum_w r'(w) g(w) for every r',
+    with g = M @ (P / c), so J(r) exceeds the Koerner entropy by at most
+    this gap.
+    """
+    ratio = np.zeros(len(p))
+    np.divide(p, cov, out=ratio, where=p > 0)
+    return float(np.log2(member.dot(ratio).max()))
+
+
 def korner_entropy(pg: ProbabilisticGraph, tol: float = 1e-9,
                    max_iter: int = 100_000, mis_limit: int = 1_000_000) -> KornerSolution:
     """Koerner graph entropy min I(W;X) s.t. X in W, W independent.
@@ -49,45 +108,18 @@ def korner_entropy(pg: ProbabilisticGraph, tol: float = 1e-9,
     J(r) = -sum_x P(x) log2 c(x) with coverage c(x) = sum_{w: x in w} r(w),
     and the marginal update is r <- r * (M @ (P / c)).  J is non-increasing,
     always an upper bound on the entropy, and converges to it.
+
+    Each call enumerates the sets and starts from the uniform r; the
+    iteration itself is the kernel shared with `perfect_capacity_evaluator`.
     """
-    g = pg.graph
-    sets = [w.vertices for w in maximal_independent_sets(g, mis_limit)]
-    m, n = len(sets), g.n
-    member = np.zeros((m, n))
-    for k, mask in enumerate(sets):
-        for v in bits_of(mask):
-            member[k, v] = 1.0
+    sets, member = _membership(pg.graph, mis_limit)
     p = np.array([float(x) for x in pg.dist.weights])
-    support = p > 0
-    r = np.full(m, 1.0 / m)
-
-    def objective(cov):
-        return float(-(p[support] * np.log2(cov[support])).sum())
-
-    cov = member.T @ r
-    prev = objective(cov)
-    history = [prev]
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        ratio = np.where(cov > 0, p / np.maximum(cov, 1e-300), 0.0)
-        r = r * (member @ ratio)
-        total = r.sum()
-        if total <= 0:
-            break
-        r /= total
-        cov = member.T @ r
-        cur = objective(cov)
-        history.append(cur)
-        if prev - cur < tol:
-            converged = True
-            prev = cur
-            break
-        prev = cur
+    r, cov, value, iterations, converged, history = _korner_iterate(
+        member, p, np.full(len(sets), 1.0 / len(sets)), tol, max_iter)
     # reconstruct the conditional simplices Q(w|x) = r(w) 1[x in w] / c(x)
     safe_cov = np.where(cov > 0, cov, 1.0)
     q = (r[:, None] * member) / safe_cov[None, :]
-    return KornerSolution(max(prev, 0.0), sets, q, r, iterations, converged, history)
+    return KornerSolution(max(value, 0.0), sets, q, r, iterations, converged, history)
 
 
 @dataclass(frozen=True)
@@ -124,25 +156,48 @@ def perfect_capacity_evaluator(g: Graph, assume_perfect: bool = False,
     """Evaluator P -> (C(G,P), supergradient) for perfect graphs.
 
     Supergradient component for vertex x: -log P(x) - 1/ln 2 - D(Q*(.|x)||r*),
-    from the envelope theorem on the inner minimization.
+    from the envelope theorem on the inner minimization.  With
+    Q*(w|x) = r*(w) 1[x in w] / c(x) the divergence is -log2 c(x).
+
+    The maximal independent sets and their membership matrix are built once,
+    when the evaluator is made, and every evaluation runs the Koerner kernel
+    of `korner_entropy`.  Each evaluation after the first starts from the
+    previous evaluation's r, with its entries raised to at least 1e-100 so
+    that every vertex is covered.  A warm start can still stall near a face
+    of the simplex where a set the new P needs has almost no mass, so the
+    warm result is kept only when the gap of `_korner_gap` certifies it
+    within sqrt(tol) bits; otherwise the evaluation is redone from the
+    uniform r, as `korner_entropy` starts.
+
+    The evaluator is therefore stateful: the same P can give results that
+    differ within the Koerner tolerance depending on the earlier calls.
+    Use a fresh evaluator for each optimisation that must be reproducible.
     """
     if not assume_perfect:
         perfect, _, _ = is_perfect(g, perfect_budget)
         if not perfect:
             raise ZeroErrError("graph is not perfect; supply a custom evaluator")
+    _, member = _membership(g, 1_000_000)
+    uniform = np.full(len(member), 1.0 / len(member))
+    gap_limit = math.sqrt(tol)
+    r = None
 
     def evaluate(weights):
+        nonlocal r
         pg = ProbabilisticGraph(g, Distribution(tuple(weights)))
-        sol = korner_entropy(pg, tol)
-        value = pg.dist.entropy() - sol.value
-        grad = np.empty(g.n)
-        for x in range(g.n):
-            col = sol.q[:, x]
-            mask = col > 0
-            div = float(np.sum(col[mask] * np.log2(col[mask] / np.maximum(sol.r[mask], 1e-300))))
-            px = float(weights[x])
-            grad[x] = (-math.log2(px) if px > 0 else 60.0) - 1.0 / LN2 - div
-        return value, grad
+        p = np.array([float(x) for x in weights])
+        sol = None
+        if r is not None:
+            sol = _korner_iterate(member, p, np.maximum(r, 1e-100), tol, 100_000)
+        if sol is None or _korner_gap(member, p, sol[1]) > gap_limit:
+            sol = _korner_iterate(member, p, uniform, tol, 100_000)
+        r, cov, kappa = sol[:3]
+        value = pg.dist.entropy() - max(kappa, 0.0)
+        log_p = np.full(g.n, -60.0)
+        np.log2(p, out=log_p, where=p > 0)
+        log_c = np.zeros(g.n)
+        np.log2(cov, out=log_c, where=cov > 0)
+        return value, -log_p - 1.0 / LN2 + log_c
 
     return evaluate
 

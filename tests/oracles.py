@@ -95,6 +95,46 @@ def korner_grid_oracle(pg, resolution=64):
     return float(vals.min())
 
 
+def korner_reference(pg, tol=1e-9, max_iter=100_000):
+    """The Koerner fixed-point loop as it stood before the solver moved to a
+    shared kernel, kept verbatim as the reference whose arithmetic the
+    kernel must reproduce bit for bit.  Returns (value, r, iterations,
+    converged)."""
+    g = pg.graph
+    sets = [w.vertices for w in maximal_independent_sets(g)]
+    m, n = len(sets), g.n
+    member = np.zeros((m, n))
+    for k, mask in enumerate(sets):
+        for v in bits_of(mask):
+            member[k, v] = 1.0
+    p = np.array([float(x) for x in pg.dist.weights])
+    support = p > 0
+    r = np.full(m, 1.0 / m)
+
+    def objective(cov):
+        return float(-(p[support] * np.log2(cov[support])).sum())
+
+    cov = member.T @ r
+    prev = objective(cov)
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iter + 1):
+        ratio = np.where(cov > 0, p / np.maximum(cov, 1e-300), 0.0)
+        r = r * (member @ ratio)
+        total = r.sum()
+        if total <= 0:
+            break
+        r /= total
+        cov = member.T @ r
+        cur = objective(cov)
+        if prev - cur < tol:
+            converged = True
+            prev = cur
+            break
+        prev = cur
+    return max(prev, 0.0), r, iterations, converged
+
+
 def sum_weights_grid(values, step=1000):
     """Grid maximum of H(P_A) + sum P_A(a) C0a at resolution 1/step,
     vectorized for 2- and 3-element families."""

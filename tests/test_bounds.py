@@ -124,6 +124,16 @@ def _corpus(rng):
     return graphs
 
 
+def test_c_rel_complete_graphs_hi_not_below_lo():
+    # C(K_n, P) = 0 for every P; Hbar may round a step above H(P), which must
+    # not push the upper end below the lower end 0
+    rng = SplitMix64(31)
+    for _ in range(40):
+        n = 3 + rng.randrange(5)
+        crel = c_rel_bounds(ProbabilisticGraph(complete(n), random_distribution(rng, n)))
+        assert 0.0 <= crel.lo <= crel.hi
+
+
 def test_soundness_and_monotone_refinement():
     rng = SplitMix64(7)
     # node-bounded budget: deterministic cuts keep refinement reproducible

@@ -11,7 +11,9 @@ from zeroerr.graphs import (
     characteristic_graph,
     cycle,
     graph_from_edges,
+    ZeroErrError,
 )
+from zeroerr import codec
 from zeroerr.codec import (
     AmbiguityError,
     Codebook,
@@ -234,6 +236,13 @@ def test_channel_code_examples():
     assert len(build_channel_code(k3, 2, "exact").codewords) == 1
     ident = ChannelSpec(4, 4, frozenset((x, x) for x in range(4)))
     assert len(build_channel_code(ident, 1, "exact").codewords) == 4
+
+
+def test_channel_code_checks_independence_with_typed_error(monkeypatch):
+    # the codebook check survives python -O
+    monkeypatch.setattr(codec, "is_independent", lambda g, mask: False)
+    with pytest.raises(ZeroErrError, match="not independent"):
+        build_channel_code(typewriter_channel(5), 2, "greedy")
 
 
 def test_channel_greedy_mode():

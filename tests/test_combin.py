@@ -19,7 +19,9 @@ from zeroerr.graphs import (
     graph_from_edges,
     path,
     uniform_pgraph,
+    ZeroErrError,
 )
+from zeroerr import combin
 from zeroerr.combin import (
     Budget,
     alpha_exact,
@@ -27,6 +29,7 @@ from zeroerr.combin import (
     clique_cover_number,
     dsatur_greedy,
     is_independent,
+    max_clique,
     maximal_independent_sets,
     min_entropy_coloring,
     omega_exact,
@@ -265,3 +268,28 @@ def test_hchi_union_of_isomorphic_copies():
         union, _ = disjoint_union([base, copy], Distribution((pa, 1 - pa)))
         assert min_entropy_coloring(union).value == pytest.approx(
             min_entropy_coloring(base).value, abs=1e-10)
+
+
+def test_output_checks_raise_typed_errors(monkeypatch):
+    # each solver re-checks its witness with a check that survives python -O
+    with monkeypatch.context() as m:
+        m.setattr(combin, "is_clique", lambda g, mask: False)
+        with pytest.raises(ZeroErrError, match="non-clique"):
+            max_clique(cycle(5))
+    with monkeypatch.context() as m:
+        m.setattr(combin, "is_independent", lambda g, mask: False)
+        with pytest.raises(ZeroErrError, match="dependent set"):
+            alpha_exact(empty(3))
+    with monkeypatch.context() as m:
+        # only the coloring merged from the components is rejected
+        m.setattr(combin, "validate_coloring", lambda g, coloring: g.n < 8)
+        with pytest.raises(ZeroErrError, match="improper coloring"):
+            chromatic_number_exact(graph_from_edges(  # C5 plus P3
+                8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6), (6, 7)]))
+    monkeypatch.setattr(combin, "validate_coloring", lambda g, coloring: False)
+    pg = uniform_pgraph(path(4))
+    for call in (lambda: chromatic_number_exact(cycle(5)),
+                 lambda: min_entropy_coloring(pg, "exact"),
+                 lambda: min_entropy_coloring(pg, "heuristic")):
+        with pytest.raises(ZeroErrError, match="improper coloring"):
+            call()

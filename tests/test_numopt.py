@@ -29,6 +29,7 @@ from zeroerr.numopt import (
     jacobi_eigenvalues,
     korner_entropy,
     matrix_from_json_dict,
+    perfect_capacity_evaluator,
     relative_capacity_perfect,
     sum_channel_weights,
     theta_transitive,
@@ -37,7 +38,7 @@ from zeroerr.rng import SplitMix64
 from zeroerr.verifier import random_distribution, random_graph, sample_perfect_graph
 
 
-from oracles import korner_grid_oracle
+from oracles import korner_grid_oracle, korner_reference
 
 
 def test_korner_complete_and_empty():
@@ -98,6 +99,80 @@ def test_korner_union_splitting():
         rhs = sum(float(pa[a]) * korner_entropy(parts[a], tol).value
                   for a in range(2))
         assert lhs == pytest.approx(rhs, abs=2e-8)
+
+
+def _with_zero_weights(rng, n):
+    """Random distribution on n >= 2 vertices with one to n // 2 of them set
+    to weight zero."""
+    w = [float(x) for x in random_distribution(rng, n).weights]
+    for _ in range(1 + rng.randrange(n // 2)):
+        w[rng.randrange(n)] = 0.0
+    total = sum(w)
+    return Distribution(tuple(x / total for x in w))
+
+
+def test_korner_kernel_matches_reference_loop_exactly():
+    # half of the instances give some vertices weight zero
+    rng = SplitMix64(41)
+    for trial in range(60):
+        g = sample_perfect_graph(rng, 3, 12)
+        p = _with_zero_weights(rng, g.n) if trial % 2 else random_distribution(rng, g.n)
+        pg = ProbabilisticGraph(g, p)
+        for tol, max_iter in ((1e-10, 100_000), (1e-6, 100_000), (1e-12, 7)):
+            sol = korner_entropy(pg, tol, max_iter)
+            value, r, iterations, converged = korner_reference(pg, tol, max_iter)
+            assert sol.value == value
+            assert sol.iterations == iterations
+            assert sol.converged == converged
+            assert np.array_equal(sol.r, r)
+
+
+def _warm_and_fresh(g, first, second):
+    evaluate = perfect_capacity_evaluator(g)
+    evaluate(first)
+    return evaluate(second), perfect_capacity_evaluator(g)(second)
+
+
+def test_capacity_evaluator_warm_start_covers_every_vertex():
+    # at (1/2, 0, 1/2) the iteration drives r({1}) to exactly 0; a warm start
+    # from that r would leave vertex 1 uncovered at the uniform P
+    (value, grad), (fresh, fresh_grad) = _warm_and_fresh(
+        path(3), (0.5, 0.0, 0.5), (1 / 3, 1 / 3, 1 / 3))
+    assert math.isfinite(value) and np.all(np.isfinite(grad))
+    assert abs(value - fresh) <= 1e-10
+    assert np.allclose(grad, fresh_grad, atol=1e-9)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-12, 1e-6])
+def test_capacity_evaluator_warm_start_leaves_a_stalled_face(eps):
+    # P5 has maximal independent sets {0,2,4}, {0,3}, {1,3}, {1,4}.  The
+    # first P drives r({1,4}) to 0 or to about 1e-77 while {1,3} and {0,2,4}
+    # still cover vertices 1 and 4; a warm start from there stops at once,
+    # about 0.13 bits short of C(G,P), unless it is redone from uniform r
+    first = (0.4, eps, 0.3, 0.3 - 2 * eps, eps)
+    (value, grad), (fresh, fresh_grad) = _warm_and_fresh(
+        path(5), first, (0.1, 0.35, 0.1, 0.1, 0.35))
+    assert abs(value - fresh) <= 1e-9
+    assert np.allclose(grad, fresh_grad, atol=1e-6)
+
+
+def test_capacity_never_exceeds_log_alpha():
+    nx = pytest.importorskip("networkx")
+    rng = SplitMix64(47)
+    tol = 1e-4
+    for _ in range(12):
+        g = sample_perfect_graph(rng, 2, 8)
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.n))
+        ng.add_edges_from(g.edges())
+        log_alpha = math.log2(max(len(c) for c in nx.find_cliques(nx.complement(ng))))
+        opt = capacity_achieving_distribution(g, tol=tol, max_iter=500)
+        # C(G, P) <= C0(G) = log2 alpha(G) on perfect graphs, for every P
+        assert opt.value <= log_alpha + 1e-9
+        if opt.converged:
+            assert opt.value >= log_alpha - tol
+        again = capacity_achieving_distribution(g, tol=tol, max_iter=500)
+        assert again == opt
 
 
 def test_relative_capacity_perfect():
