@@ -113,23 +113,6 @@ def scale_interval(iv: BoundInterval, factor: float, method: str) -> BoundInterv
                          Certificate(method, {"inner": iv.hi_cert, "factor": factor}))
 
 
-def _pick_max(cands):
-    """(value, cert) with the largest value; deterministic tie-break by order."""
-    best = cands[0]
-    for c in cands[1:]:
-        if c[0] > best[0]:
-            best = c
-    return best
-
-
-def _pick_min(cands):
-    best = cands[0]
-    for c in cands[1:]:
-        if c[0] < best[0]:
-            best = c
-    return best
-
-
 # ---------------------------------------------------------------------------
 # C0
 
@@ -202,8 +185,8 @@ def c0_bounds(g: Graph, max_n: int = 1, budget: Budget = DEFAULT_BUDGET,
         hi_cands.append((haemers_bound(g, m),
                          Certificate("haemers_rank", {"field": m.p, "matrix": "user"})))
 
-    lo, lo_cert = _pick_max(lo_cands)
-    hi, hi_cert = _pick_min(hi_cands)
+    lo, lo_cert = max(lo_cands, key=lambda c: c[0])
+    hi, hi_cert = min(hi_cands, key=lambda c: c[0])
     return BoundInterval(lo, hi, lo_cert, hi_cert)
 
 
@@ -230,8 +213,8 @@ def h0_bounds(g: Graph, max_n: int = 1, budget: Budget = DEFAULT_BUDGET,
         hi_cands.append((math.log2(chi.count) / n,
                          Certificate("chi_power",
                                      {"n": n, "chi": chi.count, "exact": chi.exact})))
-    lo, lo_cert = _pick_max(lo_cands)
-    hi, hi_cert = _pick_min(hi_cands)
+    lo, lo_cert = max(lo_cands, key=lambda c: c[0])
+    hi, hi_cert = min(hi_cands, key=lambda c: c[0])
     return BoundInterval(lo, hi, lo_cert, hi_cert)
 
 
@@ -294,8 +277,8 @@ def hbar_bounds(pg: ProbabilisticGraph, max_n: int = 1, budget: Budget = DEFAULT
                                 {"entropy": h, "c0_hi": c0.hi, "c0_hi_cert": c0.hi_cert})),
     ]
 
-    lo, lo_cert = _pick_max(lo_cands)
-    hi, hi_cert = _pick_min(hi_cands)
+    lo, lo_cert = max(lo_cands, key=lambda c: c[0])
+    hi, hi_cert = min(hi_cands, key=lambda c: c[0])
     return BoundInterval(lo, hi, lo_cert, hi_cert)
 
 

@@ -167,12 +167,20 @@ class SiCode:
         return "1" + _int_to_bits(raw, self.escape_length)
 
     def decode(self, y_seq, bits: str, pos: int = 0):
-        """Returns (x_seq, new_pos)."""
+        """Returns (x_seq, new_pos).  A stream that ends early or does not
+        hold a codeword raises AmbiguityError."""
         y_seq = tuple(y_seq)
-        flag, pos = bits[pos], pos + 1
+        flag, pos = bits[pos:pos + 1], pos + 1
+        if flag not in ("0", "1"):
+            raise AmbiguityError("bit stream does not start with a flag bit")
         if flag == "1":
-            raw = int(bits[pos:pos + self.escape_length], 2)
+            index_bits = bits[pos:pos + self.escape_length]
             pos += self.escape_length
+            if len(index_bits) != self.escape_length or index_bits.strip("01"):
+                raise AmbiguityError("truncated or malformed escape index")
+            raw = int(index_bits, 2)
+            if raw >= self.alphabet_size ** self.n:
+                raise AmbiguityError("escape index outside the source alphabet")
             seq = [0] * self.n
             for t in range(self.n - 1, -1, -1):
                 raw, seq[t] = divmod(raw, self.alphabet_size)

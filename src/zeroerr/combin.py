@@ -12,6 +12,8 @@ import math
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .graphs import (
     Graph,
     ProbabilisticGraph,
@@ -366,31 +368,57 @@ def clique_cover_number(g: Graph, budget: Budget = DEFAULT_BUDGET) -> ChiResult:
 # maximal independent set enumeration
 
 
-def maximal_independent_sets(g: Graph, limit: int = 1_000_000):
-    """All inclusion-maximal independent sets, via pivoting Bron-Kerbosch on
-    the complement's cliques.  Sorted numerically for determinism."""
+def mis_masks(g: Graph, limit: int = 1_000_000) -> list:
+    """All inclusion-maximal independent sets as vertex bitsets, via pivoting
+    Bron-Kerbosch on the complement's cliques.  Sorted numerically for
+    determinism; more than `limit` sets raise ZeroErrError."""
     comp_rows = complement(g).rows
-    n = g.n
     out = []
 
     def bk(r: int, p: int, x: int):
-        if p == 0 and x == 0:
-            out.append(r)
-            if len(out) > limit:
-                raise ZeroErrError(f"more than {limit} maximal independent sets")
+        if not p:
+            if not x:
+                out.append(r)
+                if len(out) > limit:
+                    raise ZeroErrError(f"more than {limit} maximal independent sets")
             return
-        pool = p | x
-        pivot = max(bits_of(pool), key=lambda u: popcount(p & comp_rows[u]))
-        for v in bits_of(p & ~comp_rows[pivot]):
-            bit = 1 << v
-            bk(r | bit, p & comp_rows[v], x & comp_rows[v])
-            p &= ~bit
-            x |= bit
+        # pivot: the vertex of p | x with the most non-neighbours in p
+        pool, pivot, most = p | x, 0, -1
+        while pool:
+            low = pool & -pool
+            u = low.bit_length() - 1
+            k = (p & comp_rows[u]).bit_count()
+            if k > most:
+                pivot, most = u, k
+            pool ^= low
+        branch = p & ~comp_rows[pivot]
+        while branch:
+            low = branch & -branch
+            v = low.bit_length() - 1
+            bk(r | low, p & comp_rows[v], x & comp_rows[v])
+            p ^= low
+            x |= low
+            branch ^= low
 
-    if n:
-        bk(0, (1 << n) - 1, 0)
+    if g.n:
+        bk(0, (1 << g.n) - 1, 0)
     out.sort()
-    return [IndependentSetWitness(m, popcount(m)) for m in out]
+    return out
+
+
+def maximal_independent_sets(g: Graph, limit: int = 1_000_000):
+    """All inclusion-maximal independent sets as witnesses, ascending by
+    bitset."""
+    return [IndependentSetWitness(m, popcount(m)) for m in mis_masks(g, limit)]
+
+
+def pack_masks(masks, n: int) -> np.ndarray:
+    """Bitsets on n vertices as a (len(masks), ceil(n/8)) uint8 array, vertex v
+    of row k at bit v % 8 (little-endian) of byte v // 8."""
+    limbs = [np.fromiter(((m >> s) & 0xFFFF_FFFF_FFFF_FFFF for m in masks),
+                         dtype="<u8", count=len(masks))
+             for s in range(0, n or 1, 64)]  # one limb even when n = 0
+    return np.stack(limbs, axis=1).view(np.uint8)[:, :(n + 7) // 8]
 
 
 def greedy_maximal_independent_set(g: Graph) -> IndependentSetWitness:
@@ -430,8 +458,16 @@ def min_entropy_coloring(pg: ProbabilisticGraph, mode: str = "exact",
     Exact mode is a subset DP, E[S] = min over independent I containing the
     lowest vertex of S of phi(p(I)) + E[S \\ I]; valid because the objective
     is additive over color classes.  Over budget (or mode="heuristic") falls
-    back to greedily peeling the heaviest maximal independent set, whose
-    entropy is a flagged upper bound.
+    back to greedily peeling a heaviest maximal independent set of the
+    remaining graph as the next color class; the entropy of that coloring is
+    a flagged upper bound.
+
+    The peel rule, exactly: the mass of a set is the left-to-right float sum
+    of its weights in ascending vertex order.  The maximal independent sets
+    of the remaining graph are scanned in ascending bitset order, and a set
+    replaces the incumbent (initially none, mass -1.0) when its mass exceeds
+    the incumbent's by more than 1e-15.  `limit` bounds the number of maximal
+    independent sets of the whole graph, which no remaining graph exceeds.
     """
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode '{mode}'")
@@ -489,25 +525,86 @@ def _min_entropy_exact(pg: ProbabilisticGraph) -> HChiResult:
     return HChiResult(value, coloring, True)
 
 
+def _is_maximal(rows, mask: int, within: int) -> bool:
+    """Independent `mask` is maximal in the graph induced on `within`."""
+    covered = mask
+    for v in bits_of(mask):
+        covered |= rows[v]
+    return not within & ~covered
+
+
+def _heaviest_peel(rows, mis, approx, remaining: int, w, slack: float) -> int:
+    """The set the peel rule of `min_entropy_coloring` picks among the
+    maximal independent sets of the graph induced on `remaining`.
+
+    The candidates are the rows I & remaining for the maximal independent
+    sets I of the whole graph in `mis`, with `approx` their masses up to
+    `slack`.  Each maximal independent set J of the remaining graph is such a
+    row (extend J to a maximal I of the whole graph: every vertex added lies
+    outside `remaining`); other rows are independent but not maximal and are
+    skipped.
+
+    Only sets above a gap matter: if the sets of mass at least some level
+    outweigh every other set by more than 1e-15, the first of them in the
+    scan replaces any lighter incumbent and no lighter set replaces one of
+    them.  Adding a vertex never lowers a float mass, so a maximal superset
+    of a set above the gap is above it too.  Exact masses are summed for the
+    rows within 1e-9 of the top, a window widened until a gap shows; the
+    widest window holds every row.
+    """
+    top = float(approx.max())
+    delta = 1e-9
+    while True:
+        if delta > top:
+            picked, outside = range(len(mis)), -math.inf
+        else:
+            picked = np.flatnonzero(approx >= top - delta).tolist()
+            outside = top - delta + slack  # bounds the exact mass of every row left out
+        mass = {c: sum(w[v] for v in bits_of(c)) for c in {mis[i] & remaining for i in picked}}
+        levels = sorted(set(mass.values()), reverse=True) + [outside]
+        if any(hi > max(lo, outside) + 1e-15 for hi, lo in zip(levels, levels[1:])):
+            break
+        delta *= 1e3
+    best_mask, best_mass = 0, -1.0
+    for c in sorted(mass):
+        m = mass[c]
+        if m > best_mass + 1e-15 and _is_maximal(rows, c, remaining):
+            best_mask, best_mass = c, m
+    return best_mask
+
+
 def _min_entropy_heuristic(pg: ProbabilisticGraph, limit: int) -> HChiResult:
+    """Greedy peel of `min_entropy_coloring`.  The maximal independent sets
+    are enumerated once; each peel restricts them to the remaining vertices
+    and reads their masses from per-byte tables of the remaining weights."""
     g, n = pg.graph, pg.n
     w = [float(x) for x in pg.dist.weights]
+    mis = mis_masks(g, limit)
+    packed = pack_masks(mis, n).T.copy()  # one row per byte position
+    # an exact mass (the peel's left-to-right sum) and its table approximation
+    # are float sums of the same nonnegative weights, each within (n + 7) u S
+    # of the true sum S (u = 2**-53): they differ by less than half of this
+    slack = 4 * 2.0 ** -53 * (n + 8) * sum(w)
+    width = packed.shape[0]
+    weights = np.zeros(8 * width)
+    weights[:n] = w
+    approx, term = np.empty(len(mis)), np.empty(len(mis))
+    # byte_bits[b, j] = bit j of the byte value b
+    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
+                              bitorder="little").astype(float)
     remaining = (1 << n) - 1
     color_of = [0] * n
     masses = []
     color = 0
     while remaining:
-        sub_keep = list(bits_of(remaining))
-        sub = induced_subgraph_graph(g, sub_keep)
-        cand = maximal_independent_sets(sub, limit)
-        best_mask, best_mass = 0, -1.0
-        for wit in cand:
-            m = sum(w[sub_keep[v]] for v in bits_of(wit.vertices))
-            if m > best_mass + 1e-15 or (abs(m - best_mass) <= 1e-15 and wit.vertices < best_mask):
-                best_mask, best_mass = wit.vertices, m
-        chosen = 0
-        for v in bits_of(best_mask):
-            chosen |= 1 << sub_keep[v]
+        live = np.unpackbits(pack_masks([remaining], n)[0], bitorder="little")
+        tables = (weights * live).reshape(width, 8) @ byte_bits.T  # (width, 256)
+        np.take(tables[0], packed[0], out=approx)
+        for j in range(1, width):
+            approx += np.take(tables[j], packed[j], out=term)
+        chosen = _heaviest_peel(g.rows, mis, approx, remaining, w, slack)
+        if not chosen:
+            raise ZeroErrError("entropy coloring peel found no maximal independent set")
         for v in bits_of(chosen):
             color_of[v] = color
         masses.append(sum(w[v] for v in bits_of(chosen)))

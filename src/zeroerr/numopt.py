@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Distribution, Graph, ProbabilisticGraph, ZeroErrError, bits_of
-from .combin import maximal_independent_sets
+from .combin import mis_masks, pack_masks
 from .symmetry import is_edge_transitive, is_perfect, is_vertex_transitive
 
 LN2 = math.log(2.0)
@@ -37,15 +37,11 @@ class KornerSolution:
     history: list = field(default_factory=list)
 
 
-def _membership(g: Graph, mis_limit: int):
-    """Maximal independent sets of g and their 0/1 membership matrix
-    member[w, x] = 1[x in w]."""
-    sets = [w.vertices for w in maximal_independent_sets(g, mis_limit)]
-    member = np.zeros((len(sets), g.n))
-    for k, mask in enumerate(sets):
-        for v in bits_of(mask):
-            member[k, v] = 1.0
-    return sets, member
+def _membership(sets, n: int) -> np.ndarray:
+    """0/1 membership matrix member[w, x] = 1[x in w] of vertex bitsets on
+    n vertices."""
+    return np.unpackbits(pack_masks(sets, n), axis=1, count=n,
+                         bitorder="little").astype(float)
 
 
 def _korner_iterate(member: np.ndarray, p: np.ndarray, r0: np.ndarray,
@@ -112,7 +108,8 @@ def korner_entropy(pg: ProbabilisticGraph, tol: float = 1e-9,
     Each call enumerates the sets and starts from the uniform r; the
     iteration itself is the kernel shared with `perfect_capacity_evaluator`.
     """
-    sets, member = _membership(pg.graph, mis_limit)
+    sets = mis_masks(pg.graph, mis_limit)
+    member = _membership(sets, pg.n)
     p = np.array([float(x) for x in pg.dist.weights])
     r, cov, value, iterations, converged, history = _korner_iterate(
         member, p, np.full(len(sets), 1.0 / len(sets)), tol, max_iter)
@@ -177,7 +174,7 @@ def perfect_capacity_evaluator(g: Graph, assume_perfect: bool = False,
         perfect, _, _ = is_perfect(g, perfect_budget)
         if not perfect:
             raise ZeroErrError("graph is not perfect; supply a custom evaluator")
-    _, member = _membership(g, 1_000_000)
+    member = _membership(mis_masks(g, 1_000_000), g.n)
     uniform = np.full(len(member), 1.0 / len(member))
     gap_limit = math.sqrt(tol)
     r = None

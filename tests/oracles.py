@@ -10,8 +10,15 @@ import math
 
 import numpy as np
 
-from zeroerr.graphs import bits_of
-from zeroerr.combin import is_independent, maximal_independent_sets
+from zeroerr.graphs import bits_of, induced_subgraph_graph
+from zeroerr.combin import (
+    Coloring,
+    HChiResult,
+    _entropy_of_classes,
+    is_independent,
+    maximal_independent_sets,
+    validate_coloring,
+)
 
 
 def alpha_brute(g):
@@ -59,6 +66,40 @@ def hchi_brute(pg):
 
     rec(0, [], [])
     return best[0]
+
+
+def min_entropy_heuristic_reference(pg, limit=1_000_000):
+    """The greedy chromatic-entropy peel as it stood before the heuristic
+    enumerated the maximal independent sets once and peeled by restriction,
+    kept verbatim as the reference it must reproduce bit for bit: at every
+    peel, Bron-Kerbosch on the remaining graph and the heaviest set by the
+    ascending-scan record rule."""
+    g, n = pg.graph, pg.n
+    w = [float(x) for x in pg.dist.weights]
+    remaining = (1 << n) - 1
+    color_of = [0] * n
+    masses = []
+    color = 0
+    while remaining:
+        sub_keep = list(bits_of(remaining))
+        sub = induced_subgraph_graph(g, sub_keep)
+        cand = maximal_independent_sets(sub, limit)
+        best_mask, best_mass = 0, -1.0
+        for wit in cand:
+            m = sum(w[sub_keep[v]] for v in bits_of(wit.vertices))
+            if m > best_mass + 1e-15 or (abs(m - best_mass) <= 1e-15 and wit.vertices < best_mask):
+                best_mask, best_mass = wit.vertices, m
+        chosen = 0
+        for v in bits_of(best_mask):
+            chosen |= 1 << sub_keep[v]
+        for v in bits_of(chosen):
+            color_of[v] = color
+        masses.append(sum(w[v] for v in bits_of(chosen)))
+        remaining &= ~chosen
+        color += 1
+    coloring = Coloring(tuple(color_of), color)
+    assert validate_coloring(g, coloring)
+    return HChiResult(_entropy_of_classes(masses), coloring, False)
 
 
 def korner_grid_oracle(pg, resolution=64):

@@ -148,6 +148,19 @@ def test_si_escape_path():
     assert decoded == (2, 2) and pos == len(bits)
 
 
+def test_si_malformed_streams_raise_ambiguity():
+    _, code, _ = _si_setup(2, 0.3)
+    # empty stream, truncated escape, escape cut after one index bit, an
+    # escape index past 5**2 - 1, and a non-bit flag
+    for bits in ("", "1", "10", "1" + "1" * code.escape_length, "x0"):
+        with pytest.raises(AmbiguityError):
+            code.decode((2, 3), bits)
+    # a stream that ends inside a color codeword
+    assert max(map(len, code.color_codewords)) > 1
+    with pytest.raises(AmbiguityError):
+        code.decode((2, 3), "0")
+
+
 def test_si_stream_self_synchronizing():
     chan, code, rows = _si_setup()
     rng = SplitMix64(11)

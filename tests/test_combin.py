@@ -3,11 +3,13 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from zeroerr.graphs import (
     Distribution,
     ProbabilisticGraph,
+    and_power,
     and_product_graph,
     and_power_graph,
     catalog_get,
@@ -40,7 +42,7 @@ from zeroerr.rng import SplitMix64
 from zeroerr.verifier import random_graph, random_distribution
 
 
-from oracles import alpha_brute, chi_brute, hchi_brute
+from oracles import alpha_brute, chi_brute, hchi_brute, min_entropy_heuristic_reference
 
 
 # --- alpha / omega -----------------------------------------------------------
@@ -232,6 +234,99 @@ def test_hchi_heuristic_is_valid_upper_bound():
         assert not heur.exact
         assert validate_coloring(g, heur.coloring)
         assert heur.value >= exact.value - 1e-12
+
+
+def _peel_test_weights(rng, n, kind):
+    """Uniform weights (exact ties between equal-size sets), weights with a
+    third of the vertices at zero, or small-integer weights each moved a few
+    ulps (sets whose masses differ by rounding only)."""
+    if kind == "uniform":
+        return Distribution((1.0 / n,) * n)
+    if kind == "zero":
+        w = [0.0 if rng.randrange(3) == 0 else rng.random() + 0.05 for _ in range(n)]
+        w[rng.randrange(n)] += 1.0
+    else:
+        w = [float(1 + rng.randrange(3)) for _ in range(n)]
+    total = sum(w)
+    w = [x / total for x in w]
+    if kind == "near_tie":
+        for v in range(n):
+            step = rng.randrange(9) - 4
+            for _ in range(abs(step)):
+                w[v] = math.nextafter(w[v], math.copysign(math.inf, step))
+    return Distribution(tuple(w))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "zero", "near_tie"])
+def test_hchi_heuristic_matches_reference_peel_bit_for_bit(kind):
+    rng = SplitMix64({"uniform": 53, "zero": 59, "near_tie": 61}[kind])
+    for _ in range(20):
+        n = 5 + rng.randrange(18)
+        g = random_graph(rng, n, 0.15 + 0.6 * rng.random())
+        pg = ProbabilisticGraph(g, _peel_test_weights(rng, n, kind))
+        got = min_entropy_coloring(pg, "heuristic")
+        want = min_entropy_heuristic_reference(pg)
+        assert (got.value, got.coloring, got.exact) == \
+            (want.value, want.coloring, want.exact)
+
+
+def test_hchi_peel_window_widens_to_the_same_choice():
+    # a slack far above the roundoff leaves no gap in the 1e-9 window, so the
+    # window widens until it holds every set; the choice must not change
+    rng = SplitMix64(67)
+    for kind in ("uniform", "zero", "near_tie") * 4:
+        n = 5 + rng.randrange(12)
+        g = random_graph(rng, n, 0.2 + 0.5 * rng.random())
+        pg = ProbabilisticGraph(g, _peel_test_weights(rng, n, kind))
+        w = [float(x) for x in pg.dist.weights]
+        mis = combin.mis_masks(g)
+        approx = np.array([sum(w[v] for v in range(n) if m >> v & 1) for m in mis])
+        first = min_entropy_heuristic_reference(pg).coloring.classes()[0]
+        for slack in (1e-12, 1.0):
+            assert combin._heaviest_peel(g.rows, mis, approx, (1 << n) - 1, w, slack) == first
+
+
+def test_hchi_peel_window_edges():
+    # K2: the sets {0} (mask 1) and {1} (mask 2); approximations off by up
+    # to `slack` may leave a set the rule picks outside the first window
+    rows = complete(2).rows
+    a = 1e-3
+    # {1} outweighs {0} by 2e-15 but its approximation lies 1.5e-9 low, below
+    # the 1e-9 window: the slack must widen the window to reach it
+    w = [a, a + 2e-15]
+    approx = np.array([w[0], w[1] - 1.5e-9])
+    assert combin._heaviest_peel(rows, [1, 2], approx, 3, w, 2e-9) == 2
+    # {1} outweighs the earlier {0} by only 0.5e-15, so {0} stands; {0} sits
+    # just below the first window, which has no gap of more than 1e-15 above
+    # the bound on the rows it leaves out
+    w = [a - 0.5e-15, a]
+    slack = 1e-9 - 0.25e-15
+    approx = np.array([w[0] - slack, w[1]])
+    assert combin._heaviest_peel(rows, [1, 2], approx, 3, w, slack) == 1
+
+
+@pytest.mark.parametrize("base, weights", [("C5", "uniform"), ("C7", "uniform"),
+                                           ("C5xK2", "uniform"), ("C5", "random"),
+                                           ("C7", "random")])
+def test_hchi_heuristic_matches_reference_peel_on_and_squares(base, weights):
+    g = {"C5": cycle(5), "C7": cycle(7),
+         "C5xK2": and_product_graph(cycle(5), complete(2))}[base]
+    if weights == "uniform":
+        p = Distribution.uniform(g.n)
+    else:  # product weights P^2 tie exactly between permuted coordinates
+        p = random_distribution(SplitMix64(71), g.n)
+    pg = and_power(ProbabilisticGraph(g, p), 2)
+    got = min_entropy_coloring(pg, "heuristic")
+    want = min_entropy_heuristic_reference(pg)
+    assert (got.value, got.coloring, got.exact) == (want.value, want.coloring, want.exact)
+
+
+def test_hchi_heuristic_mis_limit_still_raises():
+    # four disjoint edges: 2**4 = 16 maximal independent sets
+    pg = uniform_pgraph(graph_from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)]))
+    with pytest.raises(ZeroErrError, match="more than 10 maximal independent sets"):
+        min_entropy_coloring(pg, "heuristic", limit=10)
+    assert min_entropy_coloring(pg, "heuristic", limit=16).value == pytest.approx(1.0)
 
 
 def test_hchi_downgrades_over_budget():
