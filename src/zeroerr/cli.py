@@ -8,6 +8,7 @@ output uses 9 significant digits; outputs are byte-identical for identical
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -432,13 +433,15 @@ def _add_common(sp):
     sp.add_argument("--node-budget", type=int, default=5_000_000)
     sp.add_argument("--tol-bits", type=float, default=1e-9)
     sp.add_argument("--seed", type=int, default=2024)
-    sp.add_argument("--threads", type=int,
-                    default=int(os.environ.get("ZEROERR_THREADS", "1")))
+    sp.add_argument("--threads", type=int)  # default: $ZEROERR_THREADS or 1
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", help="write the JSON payload to this file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing leaves it
+    unchanged, and no default depends on the environment."""
     ap = argparse.ArgumentParser(
         prog="zeroerr",
         description="zero-error coding quantities on probabilistic graphs")
@@ -520,8 +523,17 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """Parse argv; an omitted --threads reads ZEROERR_THREADS now, so the
+    shared parser sees the environment of each call."""
     args = build_parser().parse_args(argv)
+    if args.threads is None:
+        args.threads = int(os.environ.get("ZEROERR_THREADS", "1"))
+    return args
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     try:
         return args.func(args)
     except (Undecided, BudgetExceeded) as exc:

@@ -92,20 +92,29 @@ class ChiResult:
 # maximum clique / independent set
 
 
+def _root_order(g: Graph):
+    """(order, rows): the vertices by descending degree, ties by index, and
+    the adjacency rows relabelled so that vertex order[i] becomes i."""
+    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    pos = [0] * g.n
+    for new, old in enumerate(order):
+        pos[old] = new
+    rows = []
+    for old in order:
+        row, bits = 0, g.rows[old]
+        while bits:
+            low = bits & -bits
+            row |= 1 << pos[low.bit_length() - 1]
+            bits ^= low
+        rows.append(row)
+    return order, rows
+
+
 class _CliqueSolver:
     """Branch-and-bound maximum clique with greedy-coloring upper bounds."""
 
     def __init__(self, g: Graph, budget: Budget):
-        # relabel by descending degree for the whole search
-        self.order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-        self.back = {new: old for new, old in enumerate(self.order)}
-        pos = {old: new for new, old in enumerate(self.order)}
-        self.rows = [0] * g.n
-        for old in range(g.n):
-            row = 0
-            for u in bits_of(g.rows[old]):
-                row |= 1 << pos[u]
-            self.rows[pos[old]] = row
+        self.order, self.rows = _root_order(g)
         self.n = g.n
         self.budget = budget
         self.deadline = time.monotonic() + budget.seconds
@@ -181,7 +190,7 @@ class _CliqueSolver:
             exact = False
         witness = 0
         for v in bits_of(self.best_set):
-            witness |= 1 << self.back[v]
+            witness |= 1 << self.order[v]
         return self.best_size, witness, exact
 
 
@@ -226,60 +235,135 @@ def omega_exact(g: Graph, budget: Budget = DEFAULT_BUDGET) -> AlphaResult:
 
 
 def dsatur_greedy(g: Graph) -> Coloring:
-    """DSATUR heuristic coloring (deterministic)."""
-    n = g.n
-    if n == 0:
+    """DSATUR heuristic coloring (deterministic): repeatedly color the
+    uncolored vertex of highest saturation, ties to the earliest in root
+    order, with the smallest feasible color."""
+    if g.n == 0:
         return Coloring((), 0)
-    color_of = [-1] * n
-    neighbor_colors = [0] * n
-    root_order = sorted(range(n), key=lambda v: (-g.degree(v), v))
-    rank = {v: i for i, v in enumerate(root_order)}
-    for _ in range(n):
-        v = min(
-            (u for u in range(n) if color_of[u] == -1),
-            key=lambda u: (-popcount(neighbor_colors[u]), rank[u]),
-        )
-        c = 0
-        while (neighbor_colors[v] >> c) & 1:
-            c += 1
-        color_of[v] = c
-        for u in bits_of(g.rows[v]):
-            neighbor_colors[u] |= 1 << c
+    order, rows = _root_order(g)
+    color_of = [0] * g.n
+    for v, c in enumerate(_Saturation(rows).greedy()):
+        color_of[order[v]] = c
     return Coloring(tuple(color_of), max(color_of) + 1)
 
 
+class _Saturation:
+    """Incremental DSATUR state on relabelled rows (rank = index).
+
+    Invariants while a partial coloring is in place:
+    - ``near[c]`` is the bitset of vertices adjacent to color class c, so
+      color c is feasible for an uncolored v iff ``not near[c] >> v & 1``;
+    - ``level[s]`` is the bitset of uncolored vertices with saturation s
+      (adjacent to exactly s distinct colors); the levels partition the
+      uncolored vertices, and no level above the number of colors in use
+      is non-empty.
+    The next DSATUR vertex is the lowest bit of the highest non-empty level:
+    highest saturation, ties to the lowest rank.
+    """
+
+    def __init__(self, rows):
+        n = len(rows)
+        self.rows = rows
+        self.near = [0] * n
+        self.level = [0] * (n + 1)
+        self.level[0] = (1 << n) - 1
+
+    def greedy(self) -> list:
+        """Color every vertex greedily (smallest feasible color); returns the
+        colors by rank.  Leaves the state fully colored."""
+        rows, near, level = self.rows, self.near, self.level
+        colors = [0] * len(rows)
+        free, used = (1 << len(rows)) - 1, 0
+        while free:
+            s, v = self.pick(used)
+            bit = 1 << v
+            level[s] ^= bit
+            free ^= bit
+            c = 0
+            while near[c] & bit:
+                c += 1
+            self.raise_levels(used, rows[v] & ~near[c] & free)
+            near[c] |= rows[v]
+            colors[v] = c
+            used = max(used, c + 1)
+        return colors
+
+    def pick(self, top: int):
+        """(saturation, vertex) of the next DSATUR vertex; every level above
+        `top` must be empty and some level at or below it non-empty."""
+        level = self.level
+        while not level[top]:
+            top -= 1
+        bits = level[top]
+        return top, (bits & -bits).bit_length() - 1
+
+    def raise_levels(self, top: int, new: int) -> list:
+        """Move every vertex of `new` (uncolored, newly adjacent to a color)
+        up one level; levels above `top` must be empty.  Returns the moves
+        as (level, bits) pairs for `lower_levels`."""
+        level = self.level
+        moves = []
+        s = top
+        while new:
+            moved = level[s] & new
+            if moved:
+                level[s] ^= moved
+                level[s + 1] |= moved
+                new ^= moved
+                moves.append((s, moved))
+            s -= 1
+        return moves
+
+    def lower_levels(self, moves):
+        """Undo `raise_levels`."""
+        level = self.level
+        for s, moved in moves:
+            level[s + 1] ^= moved
+            level[s] |= moved
+
+
 class _ChiSolver:
-    """DSATUR-ordered branch and bound for the chromatic number."""
+    """DSATUR-ordered branch and bound for the chromatic number.
+
+    Vertices are relabelled once in root order (descending degree, then
+    index), so a vertex's rank is its index.  The search keeps one
+    `_Saturation` state: ``near[c]``, the vertices adjacent to color class
+    c, and ``level[s]``, the uncolored vertices of saturation s.  Each node
+    takes the lowest bit of the highest non-empty level and tries every
+    color c not in conflict (``near[c]`` misses v) below both one fresh
+    color and the incumbent count minus one, re-reading the incumbent after
+    each child.  Coloring v with c newly saturates the uncolored part of
+    ``rows[v] & ~near[c]``, which moves up one level; every change to
+    ``near`` and ``level`` is undone exactly on backtrack."""
 
     def __init__(self, g: Graph, budget: Budget, lower: int):
-        self.g = g
         self.n = g.n
         self.budget = budget
         self.deadline = time.monotonic() + budget.seconds
         self.nodes = 0
         self.lower = lower
         self.proved = False
-        seed = dsatur_greedy(g)
-        self.best_k = seed.color_count
-        self.best = list(seed.color_of)
-        order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-        self.rank = {v: i for i, v in enumerate(order)}
+        self.order, rows = _root_order(g)
+        self.best = _Saturation(rows).greedy()
+        self.best_k = max(self.best, default=-1) + 1
+        self.state = _Saturation(rows)
+        self.color_of = [0] * g.n
 
     def solve(self):
         if self.n == 0:
             return 0, (), True
-        if self.best_k == self.lower:
-            return self.best_k, tuple(self.best), True
-        color_of = [-1] * self.n
-        neighbor_colors = [0] * self.n
         exact = True
-        try:
-            self._search(color_of, neighbor_colors, 0, 0)
-        except _Stop:
-            exact = self.proved
-        return self.best_k, tuple(self.best), exact
+        if self.best_k != self.lower:
+            try:
+                self._search((1 << self.n) - 1, 0)
+            except _Stop:
+                exact = self.proved
+        colors = [0] * self.n
+        for v, c in enumerate(self.best):
+            colors[self.order[v]] = c
+        return self.best_k, tuple(colors), exact
 
-    def _search(self, color_of, neighbor_colors, colored, used):
+    def _search(self, free, used):
         if self.best_k == self.lower:
             self.proved = True  # matched the clique bound: optimum certain
             raise _Stop
@@ -287,28 +371,30 @@ class _ChiSolver:
         if self.nodes > self.budget.nodes or (
                 self.nodes % 1024 == 0 and time.monotonic() > self.deadline):
             raise _Stop
-        if colored == self.n:
+        if not free:
             self.best_k = used
-            self.best = list(color_of)
+            self.best = self.color_of[:]
             return
-        v = min(
-            (u for u in range(self.n) if color_of[u] == -1),
-            key=lambda u: (-popcount(neighbor_colors[u]), self.rank[u]),
-        )
-        limit = min(used + 1, self.best_k - 1)  # at most one fresh color
-        for c in range(limit):
-            if (neighbor_colors[v] >> c) & 1:
+        state = self.state
+        near, level = state.near, state.level
+        s, v = state.pick(used)
+        bit = 1 << v
+        level[s] ^= bit
+        free ^= bit
+        row = state.rows[v]
+        for c in range(used + 1):  # at most one fresh color
+            if c >= self.best_k - 1:  # re-read: a child may have lowered it
+                break
+            old = near[c]
+            if old & bit:
                 continue
-            color_of[v] = c
-            touched = []
-            for u in bits_of(self.g.rows[v]):
-                if not (neighbor_colors[u] >> c) & 1:
-                    neighbor_colors[u] |= 1 << c
-                    touched.append(u)
-            self._search(color_of, neighbor_colors, colored + 1, max(used, c + 1))
-            for u in touched:
-                neighbor_colors[u] &= ~(1 << c)
-            color_of[v] = -1
+            self.color_of[v] = c
+            moves = state.raise_levels(used, row & ~old & free)
+            near[c] = old | row
+            self._search(free, used if c < used else used + 1)
+            near[c] = old
+            state.lower_levels(moves)
+        level[s] |= bit
 
 
 def chromatic_number_exact(g: Graph, budget: Budget = DEFAULT_BUDGET) -> ChiResult:
@@ -400,8 +486,13 @@ def mis_masks(g: Graph, limit: int = 1_000_000) -> list:
             x |= low
             branch ^= low
 
-    if g.n:
-        bk(0, (1 << g.n) - 1, 0)
+    try:
+        if g.n:
+            bk(0, (1 << g.n) - 1, 0)
+    finally:
+        # bk reaches itself through its closure; without this the cycle, and
+        # `out` with it, lives until the next cyclic collection
+        del bk
     out.sort()
     return out
 

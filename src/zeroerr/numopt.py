@@ -30,11 +30,18 @@ class KornerSolution:
 
     value: float
     sets: list                 # W alphabet, independent sets as bitsets
-    q: np.ndarray              # q[w, x] = Q(w|x), column-stochastic
     r: np.ndarray              # marginal of W
+    cov: np.ndarray            # cov[x] = sum_{w: x in w} r(w)
     iterations: int
     converged: bool
     history: list = field(default_factory=list)
+
+    @property
+    def q(self) -> np.ndarray:
+        """q[w, x] = Q(w|x) = r(w) 1[x in w] / c(x), column-stochastic on
+        covered vertices; built on demand, as it is |W| x |X|."""
+        safe_cov = np.where(self.cov > 0, self.cov, 1.0)
+        return (self.r[:, None] * _membership(self.sets, len(self.cov))) / safe_cov[None, :]
 
 
 def _membership(sets, n: int) -> np.ndarray:
@@ -113,10 +120,7 @@ def korner_entropy(pg: ProbabilisticGraph, tol: float = 1e-9,
     p = np.array([float(x) for x in pg.dist.weights])
     r, cov, value, iterations, converged, history = _korner_iterate(
         member, p, np.full(len(sets), 1.0 / len(sets)), tol, max_iter)
-    # reconstruct the conditional simplices Q(w|x) = r(w) 1[x in w] / c(x)
-    safe_cov = np.where(cov > 0, cov, 1.0)
-    q = (r[:, None] * member) / safe_cov[None, :]
-    return KornerSolution(max(value, 0.0), sets, q, r, iterations, converged, history)
+    return KornerSolution(max(value, 0.0), sets, r, cov, iterations, converged, history)
 
 
 @dataclass(frozen=True)

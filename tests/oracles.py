@@ -7,6 +7,7 @@ for the chromatic entropy, and a grid scan for the Koerner objective.
 
 import itertools
 import math
+import time
 
 import numpy as np
 
@@ -100,6 +101,101 @@ def min_entropy_heuristic_reference(pg, limit=1_000_000):
     coloring = Coloring(tuple(color_of), color)
     assert validate_coloring(g, coloring)
     return HChiResult(_entropy_of_classes(masses), coloring, False)
+
+
+def dsatur_greedy_reference(g):
+    """The DSATUR heuristic as it stood before it shared the solver's
+    saturation levels, kept verbatim as the reference it must reproduce:
+    a min() scan over every uncolored vertex per step, keyed by saturation
+    (distinct neighbour colors), then rank in root order."""
+    n = g.n
+    if n == 0:
+        return Coloring((), 0)
+    color_of = [-1] * n
+    neighbor_colors = [0] * n
+    root_order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    rank = {v: i for i, v in enumerate(root_order)}
+    for _ in range(n):
+        v = min(
+            (u for u in range(n) if color_of[u] == -1),
+            key=lambda u: (-neighbor_colors[u].bit_count(), rank[u]),
+        )
+        c = 0
+        while (neighbor_colors[v] >> c) & 1:
+            c += 1
+        color_of[v] = c
+        for u in bits_of(g.rows[v]):
+            neighbor_colors[u] |= 1 << c
+    return Coloring(tuple(color_of), max(color_of) + 1)
+
+
+class _Stop(Exception):
+    pass
+
+
+def chi_search_reference(g, budget, lower, stale_limit=False):
+    """The DSATUR branch and bound for the chromatic number as it stood
+    before it ran on incremental bitset state (a per-node min() scan over
+    the uncolored vertices and per-vertex neighbour-color lists), kept as
+    the reference the solver must reproduce node for node.  Returns
+    (count, coloring as a tuple, exact, nodes).
+
+    One line differs from the old loop: the colour loop stops once
+    c >= best_k - 1, re-reading best_k at each colour.  The old loop read
+    the limit once per node, so after a child lowered best_k it went on to
+    try colours that cannot improve and overwrote the incumbent with
+    equal-size colourings at leaves; ``stale_limit=True`` restores it."""
+    n = g.n
+    if n == 0:
+        return 0, (), True, 0
+    seed = dsatur_greedy_reference(g)
+    st = {"best_k": seed.color_count, "best": list(seed.color_of),
+          "nodes": 0, "proved": False}
+    if st["best_k"] == lower:
+        return st["best_k"], tuple(st["best"]), True, 0
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    rank = {v: i for i, v in enumerate(order)}
+    deadline = time.monotonic() + budget.seconds
+
+    def search(color_of, neighbor_colors, colored, used):
+        if st["best_k"] == lower:
+            st["proved"] = True
+            raise _Stop
+        st["nodes"] += 1
+        if st["nodes"] > budget.nodes or (
+                st["nodes"] % 1024 == 0 and time.monotonic() > deadline):
+            raise _Stop
+        if colored == n:
+            st["best_k"] = used
+            st["best"] = list(color_of)
+            return
+        v = min(
+            (u for u in range(n) if color_of[u] == -1),
+            key=lambda u: (-neighbor_colors[u].bit_count(), rank[u]),
+        )
+        limit = min(used + 1, st["best_k"] - 1)
+        for c in range(limit):
+            if not stale_limit and c >= st["best_k"] - 1:
+                break
+            if (neighbor_colors[v] >> c) & 1:
+                continue
+            color_of[v] = c
+            touched = []
+            for u in bits_of(g.rows[v]):
+                if not (neighbor_colors[u] >> c) & 1:
+                    neighbor_colors[u] |= 1 << c
+                    touched.append(u)
+            search(color_of, neighbor_colors, colored + 1, max(used, c + 1))
+            for u in touched:
+                neighbor_colors[u] &= ~(1 << c)
+            color_of[v] = -1
+
+    exact = True
+    try:
+        search([-1] * n, [0] * n, 0, 0)
+    except _Stop:
+        exact = st["proved"]
+    return st["best_k"], tuple(st["best"]), exact, st["nodes"]
 
 
 def korner_grid_oracle(pg, resolution=64):

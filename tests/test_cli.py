@@ -2,7 +2,13 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import zeroerr
+from zeroerr import cli
 from zeroerr.cli import main
 
 
@@ -129,3 +135,41 @@ def test_output_determinism(tmp_path, capsys):
         assert code == 0
         outs.append(stdout)
     assert outs[0] == outs[1]
+
+
+def _fresh(python_args, env_threads=None):
+    """(exit code, stdout) of `python <python_args>` in a new interpreter
+    that imports this package, with ZEROERR_THREADS set only if given."""
+    env = dict(os.environ)
+    src = str(Path(zeroerr.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("ZEROERR_THREADS", None)
+    if env_threads is not None:
+        env["ZEROERR_THREADS"] = env_threads
+    proc = subprocess.run([sys.executable, *python_args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout
+
+
+def test_shared_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+    g = tmp_path / "c5.json"
+    run(capsys, "graph", "catalog", "--name", "cycle", "--n", "5", "--out", str(g))
+    commands = [["solve", "chi", "--graph", str(g)],
+                ["bounds", "c0", "--graph", str(g), "--max-n", "2"],
+                ["solve", "chi", "--graph", str(g), "--node-budget", "1"]]
+    for argv in commands:
+        code, stdout, _ = run(capsys, *argv)
+        assert (code, stdout) == _fresh(["-m", "zeroerr.cli", *argv])
+    # an omitted --threads reads ZEROERR_THREADS at each call, as a new
+    # process would, and an explicit one wins
+    probe = "from zeroerr.cli import parse_args; print(parse_args({!r}).threads)"
+    solve = ["solve", "chi", "--graph", str(g)]
+    for value in ("3", "5", None):
+        if value is None:
+            monkeypatch.delenv("ZEROERR_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("ZEROERR_THREADS", value)
+        for argv in (solve, solve + ["--threads", "2"]):
+            want = _fresh(["-c", probe.format(argv)], value)
+            assert (0, f"{cli.parse_args(argv).threads}\n") == want
+    assert cli.build_parser() is cli.build_parser()

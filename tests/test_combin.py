@@ -1,6 +1,7 @@
 """Exact solvers against brute-force oracles and standard graph identities."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -42,7 +43,14 @@ from zeroerr.rng import SplitMix64
 from zeroerr.verifier import random_graph, random_distribution
 
 
-from oracles import alpha_brute, chi_brute, hchi_brute, min_entropy_heuristic_reference
+from oracles import (
+    alpha_brute,
+    chi_brute,
+    chi_search_reference,
+    dsatur_greedy_reference,
+    hchi_brute,
+    min_entropy_heuristic_reference,
+)
 
 
 # --- alpha / omega -----------------------------------------------------------
@@ -118,9 +126,11 @@ def test_chi_examples():
 
 def test_chi_against_brute_force():
     rng = SplitMix64(19)
-    for _ in range(12):
-        g = random_graph(rng, 4 + rng.randrange(3), 0.5)
-        assert chromatic_number_exact(g).count == chi_brute(g)
+    for _ in range(24):
+        g = random_graph(rng, 1 + rng.randrange(8), 0.2 + 0.6 * rng.random())
+        res = chromatic_number_exact(g)
+        assert res.exact and res.count == chi_brute(g)
+        assert validate_coloring(g, res.coloring)
 
 
 def test_chi_perfect_equals_omega():
@@ -152,6 +162,69 @@ def test_dsatur_greedy_valid():
         assert col.color_count >= chromatic_number_exact(g).count
 
 
+def test_dsatur_greedy_matches_reference_loop():
+    rng = SplitMix64(31)
+    graphs = [empty(1), complete(5), cycle(7)] + [
+        random_graph(rng, 1 + rng.randrange(40), rng.random()) for _ in range(60)]
+    for g in graphs:
+        assert dsatur_greedy(g) == dsatur_greedy_reference(g)
+
+
+def _chi_solve(g, budget, lower):
+    solver = combin._ChiSolver(g, budget, lower)
+    count, colors, exact = solver.solve()
+    return count, colors, exact, solver.nodes
+
+
+def _chi_instances():
+    """Seeded random graphs on 1-40 vertices, each with its clique bound."""
+    rng = SplitMix64(37)
+    for _ in range(36):
+        g = random_graph(rng, 1 + rng.randrange(40), 0.1 + 0.8 * rng.random())
+        yield g, max_clique(g)[0]
+
+
+def _and_squares():
+    bases = [cycle(5), cycle(7), and_product_graph(cycle(5), complete(2))]
+    for base in bases:
+        sq = and_power_graph(base, 2)
+        for g in (sq, complement(sq)):
+            yield g, max_clique(g)[0]
+
+
+def test_chi_solver_matches_reference_search_node_for_node():
+    for g, omega in _chi_instances():
+        for nodes in (50, 500, 5000):
+            for lower in (omega, 1):
+                budget = Budget(nodes=nodes, seconds=1e8)
+                assert _chi_solve(g, budget, lower) == chi_search_reference(g, budget, lower)
+
+
+def test_chi_solver_matches_reference_search_on_and_squares():
+    budget = Budget(nodes=10_000, seconds=1e8)
+    for g, omega in _and_squares():
+        assert _chi_solve(g, budget, omega) == chi_search_reference(g, budget, omega)
+
+
+def test_chi_colour_limit_fix_only_prunes():
+    """Re-reading the incumbent at each colour skips subtrees that cannot
+    improve it, so against the loop that read it once per node no count
+    rises, no exact flag is lost and no search visits more nodes."""
+    budgets = [Budget(nodes=n, seconds=1e8) for n in (50, 500, 5000)]
+    runs = [(g, omega, b) for g, omega in _chi_instances() for b in budgets]
+    runs += [(g, omega, Budget(nodes=10_000, seconds=1e8)) for g, omega in _and_squares()]
+    pruned = 0
+    for g, omega, budget in runs:
+        count, _, exact, nodes = _chi_solve(g, budget, omega)
+        old_count, _, old_exact, old_nodes = chi_search_reference(
+            g, budget, omega, stale_limit=True)
+        assert count <= old_count
+        assert exact or not old_exact
+        assert nodes <= old_nodes
+        pruned += nodes < old_nodes
+    assert pruned  # the fix is exercised, not vacuous
+
+
 # --- maximal independent sets ------------------------------------------------
 
 
@@ -179,6 +252,13 @@ def test_mis_against_brute_force():
             expected.add(mask)
         got = {w.vertices for w in maximal_independent_sets(g)}
         assert got == expected
+
+
+def test_mis_masks_list_is_freed_with_its_last_reference():
+    # the enumeration's recursive closure once kept the list alive until the
+    # next cyclic collection: 6.7 MB on the AND square of C5xK2
+    masks = combin.mis_masks(cycle(5))
+    assert sys.getrefcount(masks) == 2  # the name and the call's argument
 
 
 # --- minimum-entropy coloring ------------------------------------------------

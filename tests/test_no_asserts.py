@@ -1,0 +1,16 @@
+"""Output checks must survive `python -O`, which strips `assert` statements:
+the package raises its own typed errors instead."""
+
+import ast
+from pathlib import Path
+
+import zeroerr
+
+
+def test_package_has_no_assert_statements():
+    found = []
+    for path in sorted(Path(zeroerr.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements vanish under python -O: {found}"
