@@ -83,6 +83,7 @@ from .codec import (
     build_si_code,
     build_sum_channel_code,
     channel_roundtrip,
+    partial_si_roundtrip,
     shifted_codebook,
     si_roundtrip,
     sum_channel_roundtrip,

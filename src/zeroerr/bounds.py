@@ -19,9 +19,7 @@ from .graphs import (
     ProbabilisticGraph,
     Undecided,
     ZeroErrError,
-    and_power,
-    and_power_graph,
-    complement,
+    and_product_graph,
 )
 from .combin import (
     Budget,
@@ -34,7 +32,7 @@ from .combin import (
 )
 from .numopt import adjacency_plus_identity, haemers_bound, korner_entropy, theta_transitive
 from .symmetry import is_perfect
-from .typicality import sequence_index, typical_set
+from .typicality import typical_induced_subgraph
 
 REGISTRY_VERSION = 1
 
@@ -114,80 +112,95 @@ def scale_interval(iv: BoundInterval, factor: float, method: str) -> BoundInterv
 
 
 # ---------------------------------------------------------------------------
+# shared steps
+
+
+def _certified_perfect(g: Graph) -> bool:
+    """True only when the odd-hole search decides g perfect (an Undecided
+    search, above its vertex limit, counts as not certified)."""
+    try:
+        return is_perfect(g)[0]
+    except Undecided:
+        return False
+
+
+def _powers(g: Graph, max_n: int, vertex_budget: int):
+    """Yield (n, G^n) for n = 1..max_n, each power the previous one times G;
+    stop before a power would exceed `vertex_budget` vertices."""
+    power = g
+    for n in range(1, max_n + 1):
+        if n > 1:
+            if g.n ** n > vertex_budget:
+                return
+            power = and_product_graph(power, g, vertex_budget)
+        yield n, power
+
+
+def _c0_upper(g: Graph, powers, budget: Budget, factors) -> list:
+    """Upper candidates on C0(G): clique covers of the powers, the product of
+    factor covers, theta on transitive graphs, A+I rank over GF(2), GF(3)."""
+    cands = []
+    for n, power in powers:
+        cover = clique_cover_number(power, budget)
+        cands.append((math.log2(cover.count) / n,
+                      Certificate("clique_cover_power",
+                                  {"n": n, "cover": cover.count, "exact": cover.exact})))
+    if factors:
+        covers = [clique_cover_number(f, budget) for f in factors]
+        cands.append((math.log2(math.prod(c.count for c in covers)),
+                      Certificate("product_clique_cover",
+                                  {"factor_covers": [c.count for c in covers],
+                                   "exact": all(c.exact for c in covers)})))
+    if g.is_regular() and g.degree(0) > 0:
+        try:
+            th = theta_transitive(g)
+            cands.append((math.log2(th), Certificate("lovasz_theta_transitive", {"theta": th})))
+        except (ZeroErrError, Undecided):
+            pass
+    for p in (2, 3):
+        try:
+            cands.append((haemers_bound(g, adjacency_plus_identity(g, p)),
+                          Certificate("haemers_rank", {"field": p, "matrix": "A+I"})))
+        except ZeroErrError:
+            pass
+    return cands
+
+
+def _interval(lo_cands, hi_cands) -> BoundInterval:
+    """The largest lower and the smallest upper candidate; ties keep the first."""
+    lo, lo_cert = max(lo_cands, key=lambda c: c[0])
+    hi, hi_cert = min(hi_cands, key=lambda c: c[0])
+    return BoundInterval(lo, hi, lo_cert, hi_cert)
+
+
+# ---------------------------------------------------------------------------
 # C0
 
 
 def c0_bounds(g: Graph, max_n: int = 1, budget: Budget = DEFAULT_BUDGET,
-              vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-              haemers_candidates=(2, 3), extra_matrices=(), factors=None,
-              perfect_budget: int = 14) -> BoundInterval:
+              vertex_budget: int = DEFAULT_VERTEX_BUDGET, factors=None) -> BoundInterval:
     """Certified interval on the zero-error capacity C0(G) in bits.
 
     `factors`: optional AND-factorization of g; factor clique covers multiply
     to a sound one-shot cover of the product.
-    `extra_matrices`: user-supplied fitting matrices (e.g. a Haemers matrix).
     """
     if g.n == 0:
         raise ValueError("empty graph")
-
-    try:
-        perfect, _, _ = is_perfect(g, perfect_budget)
-    except Undecided:
-        perfect = None
-    if perfect:
+    if _certified_perfect(g):
         a = alpha_exact(g, budget)
         if a.exact:
             v = math.log2(a.size)
             cert = Certificate("perfect_alpha", {"alpha": a.size})
             return BoundInterval(v, v, cert, cert)
 
+    powers = list(_powers(g, max_n, vertex_budget))
     lo_cands = [(0.0, Certificate("trivial_zero"))]
-    hi_cands = []
-
-    power = g
-    for n in range(1, max_n + 1):
-        if n > 1:
-            if g.n ** n > vertex_budget:
-                break
-            power = and_power_graph(g, n, vertex_budget)
+    for n, power in powers:
         a = alpha_exact(power, budget)
         lo_cands.append((math.log2(a.size) / n,
                          Certificate("alpha_power",
                                      {"n": n, "alpha": a.size, "exact": a.exact})))
-        cover = clique_cover_number(power, budget)
-        hi_cands.append((math.log2(cover.count) / n,
-                         Certificate("clique_cover_power",
-                                     {"n": n, "cover": cover.count, "exact": cover.exact})))
-
-    if factors:
-        covers = [clique_cover_number(f, budget) for f in factors]
-        prod = math.prod(c.count for c in covers)
-        hi_cands.append((math.log2(prod),
-                         Certificate("product_clique_cover",
-                                     {"factor_covers": [c.count for c in covers],
-                                      "exact": all(c.exact for c in covers)})))
-
-    if g.is_regular() and g.degree(0) > 0:
-        try:
-            th = theta_transitive(g)
-            hi_cands.append((math.log2(th),
-                             Certificate("lovasz_theta_transitive", {"theta": th})))
-        except (ZeroErrError, Undecided):
-            pass
-
-    for p in haemers_candidates:
-        try:
-            hi_cands.append((haemers_bound(g, adjacency_plus_identity(g, p)),
-                             Certificate("haemers_rank", {"field": p, "matrix": "A+I"})))
-        except ZeroErrError:
-            pass
-    for m in extra_matrices:
-        hi_cands.append((haemers_bound(g, m),
-                         Certificate("haemers_rank", {"field": m.p, "matrix": "user"})))
-
-    lo, lo_cert = max(lo_cands, key=lambda c: c[0])
-    hi, hi_cert = min(hi_cands, key=lambda c: c[0])
-    return BoundInterval(lo, hi, lo_cert, hi_cert)
+    return _interval(lo_cands, _c0_upper(g, powers, budget, factors))
 
 
 # ---------------------------------------------------------------------------
@@ -203,19 +216,12 @@ def h0_bounds(g: Graph, max_n: int = 1, budget: Budget = DEFAULT_BUDGET,
     lo_cands = [(math.log2(w.size),
                  Certificate("omega_one_shot", {"omega": w.size, "exact": w.exact}))]
     hi_cands = []
-    power = g
-    for n in range(1, max_n + 1):
-        if n > 1:
-            if g.n ** n > vertex_budget:
-                break
-            power = and_power_graph(g, n, vertex_budget)
+    for n, power in _powers(g, max_n, vertex_budget):
         chi = chromatic_number_exact(power, budget)
         hi_cands.append((math.log2(chi.count) / n,
                          Certificate("chi_power",
                                      {"n": n, "chi": chi.count, "exact": chi.exact})))
-    lo, lo_cert = max(lo_cands, key=lambda c: c[0])
-    hi, hi_cert = min(hi_cands, key=lambda c: c[0])
-    return BoundInterval(lo, hi, lo_cert, hi_cert)
+    return _interval(lo_cands, hi_cands)
 
 
 # ---------------------------------------------------------------------------
@@ -223,43 +229,36 @@ def h0_bounds(g: Graph, max_n: int = 1, budget: Budget = DEFAULT_BUDGET,
 
 
 def hbar_bounds(pg: ProbabilisticGraph, max_n: int = 1, budget: Budget = DEFAULT_BUDGET,
-                vertex_budget: int = DEFAULT_VERTEX_BUDGET, hchi_exact_limit: int = 18,
-                korner_tol: float = 1e-10, factors=None,
-                perfect_budget: int = 14) -> BoundInterval:
+                vertex_budget: int = DEFAULT_VERTEX_BUDGET, korner_tol: float = 1e-10,
+                factors=None) -> BoundInterval:
     """Certified interval on Hbar(G, P) in bits.
 
     Upper end: minimum over (1/n) H_chi(G^n, P^n) (exact DP within the size
     limit, otherwise a valid coloring's entropy), (1/n) log chi(G^n) (sound
     since Hbar <= H0), and the Koerner entropy when converged.  Lower end:
-    H(P) minus the C0 upper certificate.  Perfect graphs collapse to the
-    Koerner value.
+    H(P) minus the smallest C0 upper candidate, taken on the same powers.
+    Perfect graphs collapse to the Koerner value.
     """
     g = pg.graph
     if g.n == 0:
         raise ValueError("empty graph")
-
-    try:
-        perfect, _, _ = is_perfect(g, perfect_budget)
-    except Undecided:
-        perfect = None
-    if perfect:
+    if _certified_perfect(g):
         sol = korner_entropy(pg, korner_tol)
         cert = Certificate("perfect_korner",
                            {"value": sol.value, "converged": sol.converged})
         return BoundInterval(sol.value, sol.value, cert, cert)
 
+    powers = list(_powers(g, max_n, vertex_budget))
     hi_cands = []
-    power = pg
-    for n in range(1, max_n + 1):
+    dist = pg.dist
+    for n, power in powers:
         if n > 1:
-            if pg.n ** n > vertex_budget:
-                break
-            power = and_power(pg, n, vertex_budget)
-        hchi = min_entropy_coloring(power, "exact", exact_budget=hchi_exact_limit)
+            dist = dist.product(pg.dist)
+        hchi = min_entropy_coloring(ProbabilisticGraph(power, dist))
         method = "hchi_power_exact" if hchi.exact else "hchi_power_heuristic"
         hi_cands.append((hchi.value / n,
                          Certificate(method, {"n": n, "value": hchi.value})))
-        chi = chromatic_number_exact(power.graph, budget)
+        chi = chromatic_number_exact(power, budget)
         hi_cands.append((math.log2(chi.count) / n,
                          Certificate("chi_power",
                                      {"n": n, "chi": chi.count, "exact": chi.exact})))
@@ -268,18 +267,14 @@ def hbar_bounds(pg: ProbabilisticGraph, max_n: int = 1, budget: Budget = DEFAULT
     if sol.converged:
         hi_cands.append((sol.value, Certificate("korner_upper", {"value": sol.value})))
 
-    c0 = c0_bounds(g, max_n=max_n, budget=budget, vertex_budget=vertex_budget,
-                   factors=factors, perfect_budget=perfect_budget)
+    c0_hi, c0_hi_cert = min(_c0_upper(g, powers, budget, factors), key=lambda c: c[0])
     h = pg.dist.entropy()
     lo_cands = [
         (0.0, Certificate("trivial_zero")),
-        (h - c0.hi, Certificate("marton_capacity_reflect",
-                                {"entropy": h, "c0_hi": c0.hi, "c0_hi_cert": c0.hi_cert})),
+        (h - c0_hi, Certificate("marton_capacity_reflect",
+                                {"entropy": h, "c0_hi": c0_hi, "c0_hi_cert": c0_hi_cert})),
     ]
-
-    lo, lo_cert = max(lo_cands, key=lambda c: c[0])
-    hi, hi_cert = min(hi_cands, key=lambda c: c[0])
-    return BoundInterval(lo, hi, lo_cert, hi_cert)
+    return _interval(lo_cands, hi_cands)
 
 
 # ---------------------------------------------------------------------------
@@ -317,15 +312,7 @@ def typical_alpha_estimate(pg: ProbabilisticGraph, n: int, eps: float,
     The double limit in the definition of C(G,P) prevents a one-sided
     finite-(n, eps) certificate, so this value is explicitly non-certified.
     """
-    from .graphs import induced_subgraph
-
-    ts = typical_set(pg.dist, n, eps)
-    members = ts.members()
-    if not members:
-        raise ValueError(f"typical set is empty at n={n}, eps={eps}")
-    power = and_power(pg, n, vertex_budget)
-    keep = [sequence_index(seq, pg.n) for seq in members]
-    sub = induced_subgraph(power, keep, renormalize=True)
+    sub, members = typical_induced_subgraph(pg, n, eps, vertex_budget)
     a = alpha_exact(sub.graph, budget)
     return Estimate(math.log2(a.size) / n, False,
                     "non-certified estimate of C(G,P)",

@@ -298,7 +298,7 @@ def _cmd_codec(args) -> int:
         return 0
     if args.kind == "partial-si":
         # spec file: {"channel": {...}, "g_map": [...], "joint": [[x,y,w],...]}
-        from .codec import PartialSideInfoSpec, build_partial_si_code, sample_joint
+        from .codec import PartialSideInfoSpec, build_partial_si_code, partial_si_roundtrip
 
         raw = load_json(args.spec)
         chan = channel_from_json_dict(raw["channel"])
@@ -306,16 +306,7 @@ def _cmd_codec(args) -> int:
             chan, tuple(int(a) for a in raw["g_map"]),
             tuple((int(x), int(y), float(w)) for x, y, w in raw["joint"]))
         code = build_partial_si_code(spec, args.n, args.eps, _budget(args))
-        rng = SplitMix64(args.seed)
-        errors = 0
-        bits_total = 0
-        for _ in range(args.trials):
-            xs, ys = sample_joint(spec, args.n, rng)
-            a_seq = tuple(spec.g_map[y] for y in ys)
-            bits = code.encode(xs, a_seq)
-            if code.decode(ys, bits) != xs:
-                errors += 1
-            bits_total += len(bits)
+        errors, bits_total = partial_si_roundtrip(code, args.trials, args.seed)
         _emit(args, {"mode": "partial-si", "n": args.n, "eps": args.eps,
                      "components": spec.component_count,
                      "trials": args.trials, "errors": errors,

@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 from .graphs import (
     ChannelSpec,
@@ -25,7 +26,6 @@ from .graphs import (
     and_power_graph,
     bits_of,
     characteristic_graph,
-    graph_from_edges,
 )
 from .combin import (
     Budget,
@@ -240,17 +240,6 @@ def si_roundtrip(code: SiCode, x_seq, y_seq):
 # partial side information at the encoder
 
 
-def _confusability_graph(x_count: int, support) -> Graph:
-    """Characteristic graph over the full input alphabet from raw support
-    pairs; inputs with no outputs stay as isolated vertices."""
-    out_masks = [0] * x_count
-    for x, y in support:
-        out_masks[x] |= 1 << y
-    edges = [(i, j) for i in range(x_count) for j in range(i + 1, x_count)
-             if out_masks[i] & out_masks[j]]
-    return graph_from_edges(x_count, edges)
-
-
 @dataclass(frozen=True)
 class PartialSideInfoSpec:
     """Deterministic map g: Y -> A splitting the side-information channel."""
@@ -308,7 +297,8 @@ class PartialSiCode:
         key = (a, length)
         if key not in self._cache:
             support = self.spec.component_support(a)
-            g = _confusability_graph(self.spec.channel.x_count, support)
+            g = characteristic_graph(
+                SimpleNamespace(x_count=self.spec.channel.x_count, support=support))
             self._cache[key] = _build_si_from_graph(
                 g, support, self.spec.component_dist(a), length, self.eps, self.budget)
         return self._cache[key]
@@ -361,6 +351,22 @@ def sample_joint(spec: PartialSideInfoSpec, n: int, rng: SplitMix64):
         xs.append(x)
         ys.append(y)
     return tuple(xs), tuple(ys)
+
+
+def partial_si_roundtrip(code: PartialSiCode, trials: int, seed: int):
+    """Blocks of length code.n drawn by `sample_joint`, encoded with
+    a^n = g(y^n) and decoded from y^n; returns (error count, total bits)."""
+    rng = SplitMix64(seed)
+    spec = code.spec
+    errors = 0
+    bits_total = 0
+    for _ in range(trials):
+        xs, ys = sample_joint(spec, code.n, rng)
+        bits = code.encode(xs, tuple(spec.g_map[y] for y in ys))
+        if code.decode(ys, bits) != xs:
+            errors += 1
+        bits_total += len(bits)
+    return errors, bits_total
 
 
 # ---------------------------------------------------------------------------

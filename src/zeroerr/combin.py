@@ -601,11 +601,19 @@ def _min_entropy_exact(pg: ProbabilisticGraph) -> HChiResult:
                 allowed &= allowed - 1
                 grow(cls_mask | (1 << u), cls_mass + w[u], allowed & ~rows[u])
 
-        grow(1 << v0, w[v0], s & ~rows[v0] & ~((1 << (v0 + 1)) - 1))
+        try:
+            grow(1 << v0, w[v0], s & ~rows[v0] & ~((1 << (v0 + 1)) - 1))
+        finally:
+            del grow     # grow reaches itself through its closure
         memo[s] = (best_val, best_classes)
         return memo[s]
 
-    value, classes = solve((1 << n) - 1)
+    try:
+        value, classes = solve((1 << n) - 1)
+    finally:
+        # solve reaches itself, and the memo, through its closure; without
+        # this the cycle lives until the next cyclic collection
+        del solve
     color_of = [0] * n
     for c, mask in enumerate(classes):
         for v in bits_of(mask):

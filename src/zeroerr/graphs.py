@@ -278,7 +278,11 @@ class UnionLayout:
 
 
 def characteristic_graph(channel: ChannelSpec) -> Graph:
-    """Confusability graph of a channel: x ~ x' iff they share an output."""
+    """Confusability graph of a channel: x ~ x' iff they share an output.
+
+    Only `x_count` and `support` are read, so a partial side-information
+    component may pass a subset of a channel's support; its inputs with no
+    outputs stay isolated."""
     out_masks = [0] * channel.x_count
     for x, y in channel.support:
         out_masks[x] |= 1 << y
@@ -315,20 +319,26 @@ def and_product(pg1: ProbabilisticGraph, pg2: ProbabilisticGraph,
     return ProbabilisticGraph(g, pg1.dist.product(pg2.dist))
 
 
-def and_power(pg: ProbabilisticGraph, n: int,
-              vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> ProbabilisticGraph:
+def and_power_graph(g: Graph, n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
+    """G^n, each power the previous one times G (vertex = base-|V| digits)."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    if pg.n ** n > vertex_budget:
-        raise BudgetExceeded(f"product too large: {pg.n}^{n} > {vertex_budget} vertices")
-    out = pg
+    if g.n ** n > vertex_budget:
+        raise BudgetExceeded(f"product too large: {g.n}^{n} > {vertex_budget} vertices")
+    out = g
     for _ in range(n - 1):
-        out = and_product(out, pg, vertex_budget)
+        out = and_product_graph(out, g, vertex_budget)
     return out
 
 
-def and_power_graph(g: Graph, n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
-    return and_power(uniform_pgraph(g), n, vertex_budget).graph
+def and_power(pg: ProbabilisticGraph, n: int,
+              vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> ProbabilisticGraph:
+    """(G^n, P^n)."""
+    g = and_power_graph(pg.graph, n, vertex_budget)
+    dist = pg.dist
+    for _ in range(n - 1):
+        dist = dist.product(pg.dist)
+    return ProbabilisticGraph(g, dist)
 
 
 def disjoint_union(parts, weights: Distribution):

@@ -131,7 +131,7 @@ class CapacityValue:
 
 
 def relative_capacity_perfect(pg: ProbabilisticGraph, assume_perfect: bool = False,
-                              tol: float = 1e-9, perfect_budget: int = 14) -> CapacityValue:
+                              tol: float = 1e-9) -> CapacityValue:
     """Zero-error capacity relative to the vertex distribution, exact for
     perfect graphs: H(P) - Koerner entropy.
 
@@ -140,7 +140,7 @@ def relative_capacity_perfect(pg: ProbabilisticGraph, assume_perfect: bool = Fal
     """
     assumed = bool(assume_perfect)
     if not assume_perfect:
-        perfect, _, _ = is_perfect(pg.graph, perfect_budget)
+        perfect, _, _ = is_perfect(pg.graph)
         if not perfect:
             raise ZeroErrError("graph is not perfect; relative capacity formula "
                                "H(P) - H_kappa does not apply")
@@ -153,7 +153,7 @@ def relative_capacity_perfect(pg: ProbabilisticGraph, assume_perfect: bool = Fal
 
 
 def perfect_capacity_evaluator(g: Graph, assume_perfect: bool = False,
-                               tol: float = 1e-10, perfect_budget: int = 14):
+                               tol: float = 1e-10):
     """Evaluator P -> (C(G,P), supergradient) for perfect graphs.
 
     Supergradient component for vertex x: -log P(x) - 1/ln 2 - D(Q*(.|x)||r*),
@@ -175,7 +175,7 @@ def perfect_capacity_evaluator(g: Graph, assume_perfect: bool = False,
     Use a fresh evaluator for each optimisation that must be reproducible.
     """
     if not assume_perfect:
-        perfect, _, _ = is_perfect(g, perfect_budget)
+        perfect, _, _ = is_perfect(g)
         if not perfect:
             raise ZeroErrError("graph is not perfect; supply a custom evaluator")
     member = _membership(mis_masks(g, 1_000_000), g.n)

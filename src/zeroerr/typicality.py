@@ -19,6 +19,7 @@ from .graphs import (
     Graph,
     ProbabilisticGraph,
     and_power,
+    and_product,
     induced_subgraph,
 )
 from .rng import SplitMix64
@@ -277,14 +278,8 @@ def eta_bounds(parts, p_a, max_n: int = 1, vertex_budget: int = DEFAULT_VERTEX_B
         if reps == 0:
             continue
         block = and_power(pg, reps, vertex_budget)
-        product = block if product is None else _and_product_checked(product, block, vertex_budget)
+        product = block if product is None else and_product(product, block, vertex_budget)
     if product is None:
         raise ValueError("P_A has empty support")
     inner = hbar_bounds(product, max_n=max_n, vertex_budget=vertex_budget, **bound_kwargs)
     return scale_interval(inner, 1.0 / k, f"eta_scaled(k={k})"), product, k
-
-
-def _and_product_checked(pg1, pg2, vertex_budget):
-    from .graphs import and_product
-
-    return and_product(pg1, pg2, vertex_budget)

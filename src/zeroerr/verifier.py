@@ -50,7 +50,7 @@ from .codec import (
     build_sum_channel_code,
     channel_roundtrip,
     PartialSideInfoSpec,
-    sample_joint,
+    partial_si_roundtrip,
     shifted_codebook,
     si_roundtrip,
     sum_channel_roundtrip,
@@ -786,17 +786,8 @@ def _sc_codec_partial(cfg):
     joint = tuple((x, y, 0.125 if y < 2 else 0.25) for x, y in sorted(support))
     spec = PartialSideInfoSpec(chan, g_map, joint)
     code = build_partial_si_code(spec, 6, 0.5, cfg.budget)
-    rng = SplitMix64(cfg.seed ^ 0xDD)
-    errors = 0
-    bits_total = 0
     trials = max(200, cfg.trials // 5)
-    for _ in range(trials):
-        xs, ys = sample_joint(spec, 6, rng)
-        a_seq = tuple(spec.g_map[y] for y in ys)
-        bits = code.encode(xs, a_seq)
-        if code.decode(ys, bits) != xs:
-            errors += 1
-        bits_total += len(bits)
+    errors, bits_total = partial_si_roundtrip(code, trials, cfg.seed ^ 0xDD)
     rate = bits_total / (6 * trials)
     checks = [Check("zero partial-SI decoding errors", errors == 0, errors, 0, 0)]
     # rate sanity against the weighted single-letter interval plus slack

@@ -240,3 +240,34 @@ def test_certificates_serialize():
     pg = uniform_pgraph(cycle(5))
     d = c_rel_bounds(pg, max_n=1).to_json_dict("C")
     json.dumps(d)
+
+
+def test_hbar_reuses_its_powers_for_the_c0_upper_end(monkeypatch):
+    # the Marton lower end needs only C0's upper candidates: on a non-perfect
+    # graph one perfectness test, no alpha solve, and each power built once
+    from zeroerr import bounds, graphs
+
+    calls = {"is_perfect": 0, "alpha_exact": 0, "square": 0}
+    real_perfect, real_alpha = bounds.is_perfect, bounds.alpha_exact
+    real_product = graphs.and_product_graph
+
+    def is_perfect(*args, **kwargs):
+        calls["is_perfect"] += 1
+        return real_perfect(*args, **kwargs)
+
+    def alpha_exact(*args, **kwargs):
+        calls["alpha_exact"] += 1
+        return real_alpha(*args, **kwargs)
+
+    def product(*args, **kwargs):
+        g = real_product(*args, **kwargs)
+        calls["square"] += g.n == 25
+        return g
+
+    monkeypatch.setattr(bounds, "is_perfect", is_perfect)
+    monkeypatch.setattr(bounds, "alpha_exact", alpha_exact)
+    monkeypatch.setattr(graphs, "and_product_graph", product)
+    monkeypatch.setattr(bounds, "and_product_graph", product, raising=False)
+    iv = hbar_bounds(uniform_pgraph(cycle(5)), max_n=2)
+    assert calls == {"is_perfect": 1, "alpha_exact": 0, "square": 1}
+    assert iv.lo_cert.details["c0_hi"] == pytest.approx(HALF_LOG2_5)

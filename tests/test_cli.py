@@ -94,6 +94,26 @@ def test_codec_channel_and_simulate(tmp_path, capsys):
     assert json.loads(stdout)["errors"] == 0
 
 
+def test_codec_partial_si(tmp_path, capsys):
+    # component 0 (outputs 0, 1) confuses both inputs, component 1 does not
+    spec = tmp_path / "psi.json"
+    spec.write_text(json.dumps({
+        "channel": {"x_count": 2, "y_count": 4,
+                    "support": [[0, 0], [0, 1], [1, 0], [1, 1], [0, 2], [1, 3]]},
+        "g_map": [0, 0, 1, 1],
+        "joint": [[0, 0, 0.125], [0, 1, 0.125], [1, 0, 0.125], [1, 1, 0.125],
+                  [0, 2, 0.25], [1, 3, 0.25]],
+    }))
+    code, stdout, _ = run(capsys, "codec", "partial-si", "--spec", str(spec),
+                          "--n", "6", "--eps", "0.5", "--trials", "300", "--seed", "7")
+    assert code == 0
+    payload = json.loads(stdout)
+    assert payload["errors"] == 0
+    assert payload["components"] == 2 and payload["trials"] == 300
+    # the value the CLI printed while it ran its own simulation loop
+    assert payload["rate_bits_per_symbol"] == 1.01111111
+
+
 def test_eta_cli(tmp_path, capsys):
     parts = tmp_path / "parts.json"
     parts.write_text(json.dumps([
