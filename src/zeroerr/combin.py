@@ -12,8 +12,6 @@ import math
 import time
 from dataclasses import dataclass
 
-import numpy as np
-
 from .graphs import (
     Graph,
     ProbabilisticGraph,
@@ -113,8 +111,9 @@ def _root_order(g: Graph):
 class _CliqueSolver:
     """Branch-and-bound maximum clique with greedy-coloring upper bounds."""
 
-    def __init__(self, g: Graph, budget: Budget):
-        self.order, self.rows = _root_order(g)
+    def __init__(self, g: Graph, budget: Budget, root):
+        self.g = g
+        self.order, self.rows = root  # the `_root_order` of g
         self.n = g.n
         self.budget = budget
         self.deadline = time.monotonic() + budget.seconds
@@ -191,15 +190,14 @@ class _CliqueSolver:
         witness = 0
         for v in bits_of(self.best_set):
             witness |= 1 << self.order[v]
+        if not is_clique(self.g, witness):
+            raise ZeroErrError("clique solver returned a non-clique")
         return self.best_size, witness, exact
 
 
 def max_clique(g: Graph, budget: Budget = DEFAULT_BUDGET):
     """(size, vertex bitset, exact flag); inexact results are still cliques."""
-    size, mask, exact = _CliqueSolver(g, budget).solve()
-    if not is_clique(g, mask):
-        raise ZeroErrError("clique solver returned a non-clique")
-    return size, mask, exact
+    return _CliqueSolver(g, budget, _root_order(g)).solve()
 
 
 def alpha_exact(g: Graph, budget: Budget = DEFAULT_BUDGET) -> AlphaResult:
@@ -336,14 +334,14 @@ class _ChiSolver:
     ``rows[v] & ~near[c]``, which moves up one level; every change to
     ``near`` and ``level`` is undone exactly on backtrack."""
 
-    def __init__(self, g: Graph, budget: Budget, lower: int):
+    def __init__(self, g: Graph, budget: Budget, lower: int, root):
         self.n = g.n
         self.budget = budget
         self.deadline = time.monotonic() + budget.seconds
         self.nodes = 0
         self.lower = lower
         self.proved = False
-        self.order, rows = _root_order(g)
+        self.order, rows = root  # the `_root_order` of g
         self.best = _Saturation(rows).greedy()
         self.best_k = max(self.best, default=-1) + 1
         self.state = _Saturation(rows)
@@ -416,13 +414,12 @@ def chromatic_number_exact(g: Graph, budget: Budget = DEFAULT_BUDGET) -> ChiResu
             exact = exact and res.exact
             for local, v in enumerate(keep):
                 color_of[v] = res.coloring.color_of[local]
-        coloring = Coloring(tuple(color_of), k)
-        if not validate_coloring(g, coloring):
-            raise ZeroErrError("chromatic solver returned an improper coloring")
-        return ChiResult(k, coloring, exact)
-    clique_size, _, clique_exact = max_clique(g, budget)
-    solver = _ChiSolver(g, budget, clique_size if clique_exact else 1)
-    k, colors, exact = solver.solve()
+        colors = tuple(color_of)
+    else:
+        root = _root_order(g)  # one relabelling for both solvers
+        clique_size, _, clique_exact = _CliqueSolver(g, budget, root).solve()
+        k, colors, exact = _ChiSolver(
+            g, budget, clique_size if clique_exact else 1, root).solve()
     coloring = Coloring(colors, k)
     if not validate_coloring(g, coloring):
         raise ZeroErrError("chromatic solver returned an improper coloring")
@@ -454,62 +451,87 @@ def clique_cover_number(g: Graph, budget: Budget = DEFAULT_BUDGET) -> ChiResult:
 # maximal independent set enumeration
 
 
-def mis_masks(g: Graph, limit: int = 1_000_000) -> list:
-    """All inclusion-maximal independent sets as vertex bitsets, via pivoting
-    Bron-Kerbosch on the complement's cliques.  Sorted numerically for
-    determinism; more than `limit` sets raise ZeroErrError."""
-    comp_rows = complement(g).rows
+def _maximal_sets(rows, within: int, w, delta: float, best: float, limit: int) -> list:
+    """The maximal independent sets of the graph induced on `within` by
+    pivoting Bron-Kerbosch, less some of mass below top - delta (top the
+    heaviest, `best` at most top).  A branch is cut when its set's mass, plus
+    the heaviest weight of each class of a greedy clique partition of its
+    candidates, plus a rounding slack falls below best - delta, best rising
+    with each set found.  More than `limit` sets collected raise ZeroErrError."""
+    # a cut rests on four float sums of weights, each within n u S of its
+    # true value (S the total, u = 2**-53), and on a few roundings
+    slack = 4 * 2.0 ** -53 * (len(w) + 8) * sum(w)
+    cut = best - delta - slack
+    free = [within & ~rows[v] & ~(1 << v) for v in range(len(rows))]
     out = []
 
-    def bk(r: int, p: int, x: int):
+    def bk(r: int, r_mass: float, p: int, x: int):
+        nonlocal best, cut
         if not p:
-            if not x:
+            if not x and r_mass >= cut:
+                if r_mass > best:
+                    best, cut = r_mass, r_mass - delta - slack
                 out.append(r)
                 if len(out) > limit:
                     raise ZeroErrError(f"more than {limit} maximal independent sets")
             return
+        if r_mass < cut:
+            need, bound, rest = cut - r_mass, 0.0, p
+            while rest:
+                low = rest & -rest
+                v = low.bit_length() - 1
+                heaviest, clique = w[v], rest & rows[v]
+                rest ^= low
+                while clique:
+                    low = clique & -clique
+                    u = low.bit_length() - 1
+                    if w[u] > heaviest:
+                        heaviest = w[u]
+                    clique &= rows[u]
+                    rest ^= low
+                bound += heaviest
+                if bound >= need:
+                    break
+            else:
+                return
         # pivot: the vertex of p | x with the most non-neighbours in p
         pool, pivot, most = p | x, 0, -1
         while pool:
             low = pool & -pool
             u = low.bit_length() - 1
-            k = (p & comp_rows[u]).bit_count()
+            k = (p & free[u]).bit_count()
             if k > most:
                 pivot, most = u, k
             pool ^= low
-        branch = p & ~comp_rows[pivot]
+        branch = p & ~free[pivot]
         while branch:
             low = branch & -branch
             v = low.bit_length() - 1
-            bk(r | low, p & comp_rows[v], x & comp_rows[v])
+            bk(r | low, r_mass + w[v], p & free[v], x & free[v])
             p ^= low
             x |= low
             branch ^= low
 
     try:
-        if g.n:
-            bk(0, (1 << g.n) - 1, 0)
+        if within:
+            bk(0, 0.0, within, 0)
     finally:
         # bk reaches itself through its closure; without this the cycle, and
         # `out` with it, lives until the next cyclic collection
         del bk
-    out.sort()
     return out
+
+
+def mis_masks(g: Graph, limit: int = 1_000_000) -> list:
+    """All inclusion-maximal independent sets as vertex bitsets, sorted
+    numerically for determinism; more than `limit` raise ZeroErrError."""
+    return sorted(_maximal_sets(g.rows, (1 << g.n) - 1, [0.0] * g.n, math.inf, -1.0, limit))
 
 
 def maximal_independent_sets(g: Graph, limit: int = 1_000_000):
     """All inclusion-maximal independent sets as witnesses, ascending by
     bitset."""
     return [IndependentSetWitness(m, popcount(m)) for m in mis_masks(g, limit)]
-
-
-def pack_masks(masks, n: int) -> np.ndarray:
-    """Bitsets on n vertices as a (len(masks), ceil(n/8)) uint8 array, vertex v
-    of row k at bit v % 8 (little-endian) of byte v // 8."""
-    limbs = [np.fromiter(((m >> s) & 0xFFFF_FFFF_FFFF_FFFF for m in masks),
-                         dtype="<u8", count=len(masks))
-             for s in range(0, n or 1, 64)]  # one limb even when n = 0
-    return np.stack(limbs, axis=1).view(np.uint8)[:, :(n + 7) // 8]
 
 
 def greedy_maximal_independent_set(g: Graph) -> IndependentSetWitness:
@@ -557,9 +579,11 @@ def min_entropy_coloring(pg: ProbabilisticGraph, mode: str = "exact",
     of its weights in ascending vertex order.  The maximal independent sets
     of the remaining graph are scanned in ascending bitset order, and a set
     replaces the incumbent (initially none, mass -1.0) when its mass exceeds
-    the incumbent's by more than 1e-15.  `limit` bounds the number of maximal
-    independent sets of the whole graph, which no remaining graph exceeds.
-    """
+    the incumbent's by more than 1e-15.  Only the heaviest sets can win, so
+    the peel keeps the family of every maximal independent set of mass at
+    least a level, filled by a pruned Bron-Kerbosch, carried to the next
+    remaining graph by restriction and refilled only when the level must
+    drop.  `limit` bounds the sets one fill collects, not all of them."""
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode '{mode}'")
     if mode == "exact" and pg.n <= exact_budget:
@@ -573,9 +597,6 @@ def _min_entropy_exact(pg: ProbabilisticGraph) -> HChiResult:
     rows = g.rows
     memo = {}
 
-    def mass(mask: int) -> float:
-        return sum(w[v] for v in bits_of(mask))
-
     def solve(s: int):
         if s == 0:
             return 0.0, ()
@@ -583,7 +604,7 @@ def _min_entropy_exact(pg: ProbabilisticGraph) -> HChiResult:
         if hit is not None:
             return hit
         if all(not (rows[v] & s) for v in bits_of(s)):
-            res = (_phi(mass(s)), (s,))  # merging classes never raises H
+            res = (_phi(_mass(w, s)), (s,))  # merging classes never raises H
             memo[s] = res
             return res
         v0 = (s & -s).bit_length() - 1
@@ -614,102 +635,80 @@ def _min_entropy_exact(pg: ProbabilisticGraph) -> HChiResult:
         # solve reaches itself, and the memo, through its closure; without
         # this the cycle lives until the next cyclic collection
         del solve
-    color_of = [0] * n
+    return HChiResult(value, _class_coloring(g, classes, "entropy coloring DP"), True)
+
+
+def _class_coloring(g: Graph, classes, solver: str) -> Coloring:
+    """The coloring with the given color classes, checked proper."""
+    color_of = [0] * g.n
     for c, mask in enumerate(classes):
         for v in bits_of(mask):
             color_of[v] = c
     coloring = Coloring(tuple(color_of), len(classes))
     if not validate_coloring(g, coloring):
-        raise ZeroErrError("entropy coloring DP returned an improper coloring")
-    return HChiResult(value, coloring, True)
+        raise ZeroErrError(f"{solver} returned an improper coloring")
+    return coloring
 
 
-def _is_maximal(rows, mask: int, within: int) -> bool:
-    """Independent `mask` is maximal in the graph induced on `within`."""
-    covered = mask
-    for v in bits_of(mask):
-        covered |= rows[v]
-    return not within & ~covered
+def _mass(w, mask: int) -> float:
+    """The exact mass of a set: its weights summed left to right, ascending."""
+    return sum(w[v] for v in bits_of(mask))
 
 
-def _heaviest_peel(rows, mis, approx, remaining: int, w, slack: float) -> int:
-    """The set the peel rule of `min_entropy_coloring` picks among the
-    maximal independent sets of the graph induced on `remaining`.
-
-    The candidates are the rows I & remaining for the maximal independent
-    sets I of the whole graph in `mis`, with `approx` their masses up to
-    `slack`.  Each maximal independent set J of the remaining graph is such a
-    row (extend J to a maximal I of the whole graph: every vertex added lies
-    outside `remaining`); other rows are independent but not maximal and are
-    skipped.
-
-    Only sets above a gap matter: if the sets of mass at least some level
-    outweigh every other set by more than 1e-15, the first of them in the
-    scan replaces any lighter incumbent and no lighter set replaces one of
-    them.  Adding a vertex never lowers a float mass, so a maximal superset
-    of a set above the gap is above it too.  Exact masses are summed for the
-    rows within 1e-9 of the top, a window widened until a gap shows; the
-    widest window holds every row.
-    """
-    top = float(approx.max())
-    delta = 1e-9
+def _peel(rows, w, within: int, family: dict, theta: float, limit: int):
+    """(chosen, family, theta): the peel rule's pick among the maximal
+    independent sets of the graph induced on `within`, and every one of them
+    of mass at least `theta` ({mask: mass}).  `family` comes in for the graph
+    before the last peel and is restricted: a maximal set here extends to
+    one there, and adding a vertex never lowers a float mass.  Only sets
+    above a gap matter: if the sets of mass at least some level outweigh all
+    others by more than 1e-15, the first of them in the scan replaces any
+    lighter incumbent and no lighter one replaces it.  The window starts
+    1e-9 below the top and widens by 1e3 until a gap shows (wider than the
+    top, it holds every set); the family is refilled when it passes theta."""
+    carried = {}
+    for mask, m in family.items():
+        rest = mask & within
+        if rest != mask:
+            covered = rest
+            for v in bits_of(rest):
+                covered |= rows[v]
+            if rest in carried or within & ~covered:  # seen, or not maximal
+                continue
+            m = _mass(w, rest)
+            if m < theta:
+                continue
+        carried[rest] = m
+    family, delta = carried, 1e-9
     while True:
-        if delta > top:
-            picked, outside = range(len(mis)), -math.inf
-        else:
-            picked = np.flatnonzero(approx >= top - delta).tolist()
-            outside = top - delta + slack  # bounds the exact mass of every row left out
-        mass = {c: sum(w[v] for v in bits_of(c)) for c in {mis[i] & remaining for i in picked}}
-        levels = sorted(set(mass.values()), reverse=True) + [outside]
-        if any(hi > max(lo, outside) + 1e-15 for hi, lo in zip(levels, levels[1:])):
+        top = max(family.values(), default=-1.0)
+        floor = top - delta if delta <= top else -math.inf
+        if not family or floor < theta:
+            found = _maximal_sets(rows, within, w, delta, top, limit)
+            masses = [_mass(w, c) for c in found]
+            top = max(masses)
+            theta = floor = top - delta if delta <= top else -math.inf
+            family = {c: m for c, m in zip(found, masses) if m >= theta}
+        window = {c: m for c, m in family.items() if m >= floor}
+        levels = sorted(set(window.values()), reverse=True) + [floor]
+        if any(hi > lo + 1e-15 for hi, lo in zip(levels, levels[1:])):
             break
         delta *= 1e3
-    best_mask, best_mass = 0, -1.0
-    for c in sorted(mass):
-        m = mass[c]
-        if m > best_mass + 1e-15 and _is_maximal(rows, c, remaining):
-            best_mask, best_mass = c, m
-    return best_mask
+    chosen, best = 0, -1.0
+    for c in sorted(window):
+        if window[c] > best + 1e-15:
+            chosen, best = c, window[c]
+    return chosen, family, theta
 
 
 def _min_entropy_heuristic(pg: ProbabilisticGraph, limit: int) -> HChiResult:
-    """Greedy peel of `min_entropy_coloring`.  The maximal independent sets
-    are enumerated once; each peel restricts them to the remaining vertices
-    and reads their masses from per-byte tables of the remaining weights."""
+    """Greedy peel of `min_entropy_coloring`."""
     g, n = pg.graph, pg.n
     w = [float(x) for x in pg.dist.weights]
-    mis = mis_masks(g, limit)
-    packed = pack_masks(mis, n).T.copy()  # one row per byte position
-    # an exact mass (the peel's left-to-right sum) and its table approximation
-    # are float sums of the same nonnegative weights, each within (n + 7) u S
-    # of the true sum S (u = 2**-53): they differ by less than half of this
-    slack = 4 * 2.0 ** -53 * (n + 8) * sum(w)
-    width = packed.shape[0]
-    weights = np.zeros(8 * width)
-    weights[:n] = w
-    approx, term = np.empty(len(mis)), np.empty(len(mis))
-    # byte_bits[b, j] = bit j of the byte value b
-    byte_bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1,
-                              bitorder="little").astype(float)
-    remaining = (1 << n) - 1
-    color_of = [0] * n
-    masses = []
-    color = 0
-    while remaining:
-        live = np.unpackbits(pack_masks([remaining], n)[0], bitorder="little")
-        tables = (weights * live).reshape(width, 8) @ byte_bits.T  # (width, 256)
-        np.take(tables[0], packed[0], out=approx)
-        for j in range(1, width):
-            approx += np.take(tables[j], packed[j], out=term)
-        chosen = _heaviest_peel(g.rows, mis, approx, remaining, w, slack)
-        if not chosen:
-            raise ZeroErrError("entropy coloring peel found no maximal independent set")
-        for v in bits_of(chosen):
-            color_of[v] = color
-        masses.append(sum(w[v] for v in bits_of(chosen)))
-        remaining &= ~chosen
-        color += 1
-    coloring = Coloring(tuple(color_of), color)
-    if not validate_coloring(g, coloring):
-        raise ZeroErrError("greedy entropy coloring returned an improper coloring")
-    return HChiResult(_entropy_of_classes(masses), coloring, False)
+    within, family, theta, classes = (1 << n) - 1, {}, math.inf, []
+    while within:
+        chosen, family, theta = _peel(g.rows, w, within, family, theta, limit)
+        classes.append(chosen)
+        within &= ~chosen
+    coloring = _class_coloring(g, classes, "greedy entropy coloring")
+    return HChiResult(_entropy_of_classes(_mass(w, c) for c in classes), coloring, False)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import Distribution, Graph, ProbabilisticGraph, ZeroErrError, bits_of
-from .combin import mis_masks, pack_masks
+from .combin import mis_masks
 from .symmetry import is_edge_transitive, is_perfect, is_vertex_transitive
 
 LN2 = math.log(2.0)
@@ -47,8 +47,11 @@ class KornerSolution:
 def _membership(sets, n: int) -> np.ndarray:
     """0/1 membership matrix member[w, x] = 1[x in w] of vertex bitsets on
     n vertices."""
-    return np.unpackbits(pack_masks(sets, n), axis=1, count=n,
-                         bitorder="little").astype(float)
+    limbs = [np.fromiter(((m >> s) & 0xFFFF_FFFF_FFFF_FFFF for m in sets),
+                         dtype="<u8", count=len(sets))
+             for s in range(0, n or 1, 64)]  # one limb even when n = 0
+    packed = np.stack(limbs, axis=1).view(np.uint8)  # vertex v at bit v % 8 of byte v // 8
+    return np.unpackbits(packed, axis=1, count=n, bitorder="little").astype(float)
 
 
 def _korner_iterate(member: np.ndarray, p: np.ndarray, r0: np.ndarray,

@@ -86,7 +86,10 @@ def _multiset_sequences(counts):
                 prefix.pop()
                 counts[a] += 1
 
-    yield from rec([])
+    try:
+        yield from rec([])
+    finally:
+        del rec  # rec reaches itself through its closure
 
 
 @dataclass(frozen=True)

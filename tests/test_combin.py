@@ -5,13 +5,14 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zeroerr.graphs import (
     Distribution,
     ProbabilisticGraph,
     and_power,
+    bits_of,
     and_product_graph,
     and_power_graph,
     catalog_get,
@@ -21,6 +22,7 @@ from zeroerr.graphs import (
     disjoint_union,
     empty,
     graph_from_edges,
+    induced_subgraph_graph,
     path,
     uniform_pgraph,
     ZeroErrError,
@@ -171,8 +173,21 @@ def test_dsatur_greedy_matches_reference_loop():
         assert dsatur_greedy(g) == dsatur_greedy_reference(g)
 
 
+def test_chromatic_number_relabels_each_graph_once(monkeypatch):
+    # the clique bound and the chi search share one root order
+    calls = []
+    real = combin._root_order
+    monkeypatch.setattr(combin, "_root_order", lambda g: calls.append(g.n) or real(g))
+    assert chromatic_number_exact(cycle(5)).count == 3
+    assert calls == [5]
+    calls.clear()
+    c5_and_k2 = graph_from_edges(7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (5, 6)])
+    assert chromatic_number_exact(c5_and_k2).count == 3
+    assert sorted(calls) == [2, 5]  # once per component
+
+
 def _chi_solve(g, budget, lower):
-    solver = combin._ChiSolver(g, budget, lower)
+    solver = combin._ChiSolver(g, budget, lower, combin._root_order(g))
     count, colors, exact = solver.solve()
     return count, colors, exact, solver.nodes
 
@@ -367,39 +382,110 @@ def test_hchi_heuristic_matches_reference_peel_bit_for_bit(kind):
             (want.value, want.coloring, want.exact)
 
 
+def _every_heavy_set(g, w, within, theta):
+    """{mask: mass} of every maximal independent set of the graph induced on
+    `within` of exact mass at least theta, by plain enumeration."""
+    keep = list(bits_of(within))
+    out = {}
+    for sub in combin.mis_masks(induced_subgraph_graph(g, keep)):
+        mask = sum(1 << keep[v] for v in bits_of(sub))
+        mass = sum(w[v] for v in bits_of(mask))
+        if mass >= theta:
+            out[mask] = mass
+    return out
+
+
 def test_hchi_peel_window_widens_to_the_same_choice():
-    # a slack far above the roundoff leaves no gap in the 1e-9 window, so the
-    # window widens until it holds every set; the choice must not change
+    # a family that already holds every maximal independent set (theta -inf)
+    # is never refilled: its window must pick what a fresh fill and the
+    # reference pick
     rng = SplitMix64(67)
     for kind in ("uniform", "zero", "near_tie") * 4:
         n = 5 + rng.randrange(12)
         g = random_graph(rng, n, 0.2 + 0.5 * rng.random())
         pg = ProbabilisticGraph(g, _peel_test_weights(rng, n, kind))
         w = [float(x) for x in pg.dist.weights]
-        mis = combin.mis_masks(g)
-        approx = np.array([sum(w[v] for v in range(n) if m >> v & 1) for m in mis])
+        every = _every_heavy_set(g, w, (1 << n) - 1, -math.inf)
         first = min_entropy_heuristic_reference(pg).coloring.classes()[0]
-        for slack in (1e-12, 1.0):
-            assert combin._heaviest_peel(g.rows, mis, approx, (1 << n) - 1, w, slack) == first
+        for family, theta in (({}, math.inf), (every, -math.inf)):
+            assert combin._peel(g.rows, w, (1 << n) - 1, family, theta, 10**6)[0] == first
 
 
 def test_hchi_peel_window_edges():
-    # K2: the sets {0} (mask 1) and {1} (mask 2); approximations off by up
-    # to `slack` may leave a set the rule picks outside the first window
+    # K2: the sets {0} (mask 1) and {1} (mask 2)
     rows = complete(2).rows
     a = 1e-3
-    # {1} outweighs {0} by 2e-15 but its approximation lies 1.5e-9 low, below
-    # the 1e-9 window: the slack must widen the window to reach it
-    w = [a, a + 2e-15]
-    approx = np.array([w[0], w[1] - 1.5e-9])
-    assert combin._heaviest_peel(rows, [1, 2], approx, 3, w, 2e-9) == 2
-    # {1} outweighs the earlier {0} by only 0.5e-15, so {0} stands; {0} sits
-    # just below the first window, which has no gap of more than 1e-15 above
-    # the bound on the rows it leaves out
-    w = [a - 0.5e-15, a]
-    slack = 1e-9 - 0.25e-15
-    approx = np.array([w[0] - slack, w[1]])
-    assert combin._heaviest_peel(rows, [1, 2], approx, 3, w, slack) == 1
+    # {1} outweighs {0} by 2e-15: it replaces the earlier {0}
+    assert combin._peel(rows, [a, a + 2e-15], 3, {}, math.inf, 10)[0] == 2
+    # {1} outweighs the earlier {0} by only 0.5e-15, so {0} stands; the gap
+    # lies below both, above the window's floor
+    assert combin._peel(rows, [a - 0.5e-15, a], 3, {}, math.inf, 10)[0] == 1
+    # K3, masses a - 1.6e-15, a - 0.8e-15, a: the scan keeps {0} over {1} and
+    # takes {2}.  A family of {1} and {2} alone (theta a - 1e-15) would give
+    # {1}; the 1e-9 window passes theta, so the family is refilled first
+    w = [a - 1.6e-15, a - 0.8e-15, a]
+    chosen, family, theta = combin._peel(
+        complete(3).rows, w, 7, {2: w[1], 4: w[2]}, a - 1e-15, 10)
+    assert (chosen, sorted(family), theta) == (4, [1, 2, 4], a - 1e-9)
+
+
+def _peel_family_cases(kind):
+    """Seeded random graphs with `_peel_test_weights`, or uniform strong
+    products whose tied heavy sets carry over several peels."""
+    if kind == "products":
+        for h in (cycle(6), path(4), complete(2)):
+            yield uniform_pgraph(and_product_graph(cycle(5), h))
+        return
+    rng = SplitMix64({"uniform": 73, "zero": 79, "near_tie": 83}[kind])
+    for _ in range(12):
+        n = 5 + rng.randrange(16)
+        g = random_graph(rng, n, 0.15 + 0.6 * rng.random())
+        yield ProbabilisticGraph(g, _peel_test_weights(rng, n, kind))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "zero", "near_tie", "products"])
+def test_hchi_peel_family_is_every_heavy_set(kind, monkeypatch):
+    # at every peel the family handed on, carried or refilled, is exactly the
+    # maximal independent sets of the remaining graph of mass at least theta
+    peels = []
+    real = combin._peel
+
+    def peel(rows, w, within, family, theta, limit):
+        out = real(rows, w, within, family, theta, limit)
+        peels.append((within, w) + out)
+        return out
+
+    monkeypatch.setattr(combin, "_peel", peel)
+    for pg in _peel_family_cases(kind):
+        peels.clear()
+        min_entropy_coloring(pg, "heuristic")
+        assert peels
+        for within, w, chosen, family, theta in peels:
+            assert chosen in family
+            assert family == _every_heavy_set(pg.graph, w, within, theta)
+
+
+def test_hchi_heuristic_carries_one_fill_on_c5xk2_square(monkeypatch):
+    # (C5xK2)^2 has 144,640 maximal independent sets; the peel never lists
+    # them: one pruned fill holds the heaviest, carried through all 20 peels
+    def refuse(*args):
+        raise AssertionError("mis_masks called")
+
+    fills = []
+    real = combin._maximal_sets
+    monkeypatch.setattr(combin, "mis_masks", refuse)
+    monkeypatch.setattr(combin, "_maximal_sets", lambda *a: fills.append(a[1]) or real(*a))
+    pg = and_power(uniform_pgraph(and_product_graph(cycle(5), complete(2))), 2)
+    res = min_entropy_coloring(pg, "heuristic")
+    assert (res.value, res.coloring.color_count) == (math.log2(20), 20)
+    assert len(fills) == 1
+
+
+def test_hchi_heuristic_matches_reference_peel_on_c6_c8():
+    pg = uniform_pgraph(and_product_graph(cycle(6), cycle(8)))
+    got = min_entropy_coloring(pg, "heuristic")
+    want = min_entropy_heuristic_reference(pg)
+    assert (got.value, got.coloring, got.exact) == (want.value, want.coloring, want.exact)
 
 
 @pytest.mark.parametrize("base, weights", [("C5", "uniform"), ("C7", "uniform"),
@@ -413,6 +499,33 @@ def test_hchi_heuristic_matches_reference_peel_on_and_squares(base, weights):
     else:  # product weights P^2 tie exactly between permuted coordinates
         p = random_distribution(SplitMix64(71), g.n)
     pg = and_power(ProbabilisticGraph(g, p), 2)
+    got = min_entropy_coloring(pg, "heuristic")
+    want = min_entropy_heuristic_reference(pg)
+    assert (got.value, got.coloring, got.exact) == (want.value, want.coloring, want.exact)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(n=st.integers(1, 12), data=st.data(),
+       kind=st.sampled_from(["uniform", "zero", "ulp"]))
+def test_hchi_heuristic_matches_reference_peel_property(n, data, kind):
+    # exact ties (uniform), zero weights, and ulp shifts that leave masses a
+    # rounding step apart: the carried peel must pick what the reference picks
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [e for e, on in zip(pairs, data.draw(st.lists(
+        st.booleans(), min_size=len(pairs), max_size=len(pairs)))) if on]
+    if kind == "uniform":
+        w = [1.0 / n] * n
+    else:
+        w = [float(x) for x in data.draw(st.lists(
+            st.integers(0 if kind == "zero" else 1, 3), min_size=n, max_size=n))]
+        w[0] += 1.0  # a positive total
+        w = [x / sum(w) for x in w]
+    if kind == "ulp":
+        steps = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        for v, step in enumerate(steps):
+            for _ in range(abs(step)):
+                w[v] = math.nextafter(w[v], math.copysign(math.inf, step))
+    pg = ProbabilisticGraph(graph_from_edges(n, edges), Distribution(tuple(w)))
     got = min_entropy_coloring(pg, "heuristic")
     want = min_entropy_heuristic_reference(pg)
     assert (got.value, got.coloring, got.exact) == (want.value, want.coloring, want.exact)

@@ -1,5 +1,6 @@
 """Types, typical sets, typical induced subgraphs, splitting, eta."""
 
+import gc
 from fractions import Fraction
 from itertools import product as iproduct
 
@@ -64,6 +65,18 @@ def test_typical_set_against_direct_enumeration():
         assert ts.cardinality() == len(direct)
         for seq in direct:
             assert ts.contains(seq)
+
+
+def test_typical_set_members_leave_no_cyclic_garbage():
+    # the recursive sequence generator once reached itself through its
+    # closure: 42 cyclic objects waited for the next collection here
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(typical_set(Distribution.uniform(3), 6, 0.2).members()) > 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_typical_mass_monotone_in_eps():
