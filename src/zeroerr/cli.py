@@ -3,6 +3,8 @@
 Subcommands: graph, solve, entropy, bounds, codec, eta, verify.  All numeric
 output uses 9 significant digits; outputs are byte-identical for identical
 (input, config, seed).  Exit codes: 0 success, 2 budget-undecided, 1 error.
+Only node and size budgets shape a payload: `--time-budget-ms` is one hard
+limit on the whole command, which then exits 2 and writes no output at all.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import signal
 import sys
 from fractions import Fraction
 
@@ -71,7 +74,22 @@ def _payload_csv(payload: dict) -> str:
     return f"{head}\n{row}\n"
 
 
+class _TimeBudgetExhausted(BaseException):
+    """Not an Exception, so no handler in the package turns it into a payload."""
+
+
+def _abort(signum, frame):
+    raise _TimeBudgetExhausted
+
+
+def _disarm() -> None:
+    """Every writer calls this first.  An alarm that arrived before the call
+    raises as soon as it returns, so an abort never leaves partial output."""
+    signal.setitimer(signal.ITIMER_REAL, 0)
+
+
 def _emit(args, payload: dict) -> None:
+    _disarm()
     if getattr(args, "out", None):
         save_json(args.out, payload)
     if getattr(args, "format", "json") == "csv":
@@ -81,7 +99,7 @@ def _emit(args, payload: dict) -> None:
 
 
 def _budget(args) -> Budget:
-    return Budget(nodes=args.node_budget, seconds=args.time_budget_ms / 1000.0)
+    return Budget(nodes=args.node_budget)
 
 
 def _load_graph(path: str):
@@ -398,6 +416,7 @@ def _cmd_verify(args) -> int:
                        haemers_matrix=matrix, tags=tuple(args.tag or ()),
                        threads=args.threads)
     report = full_suite(cfg)
+    _disarm()
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(report_to_csv(report))
@@ -525,14 +544,26 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    previous = signal.signal(signal.SIGALRM, _abort)
     try:
-        return args.func(args)
+        try:
+            if not 0 < args.time_budget_ms <= 10 ** 12:  # the timer's range
+                raise ZeroErrError(f"time budget must be 1 to 10^12 ms: {args.time_budget_ms}")
+            signal.setitimer(signal.ITIMER_REAL, args.time_budget_ms / 1000.0)
+            return args.func(args)
+        finally:
+            _disarm()
+    except _TimeBudgetExhausted:
+        print(f"undecided: time budget of {args.time_budget_ms} ms exhausted", file=sys.stderr)
+        return 2
     except (Undecided, BudgetExceeded) as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return 2
     except (ZeroErrError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        signal.signal(signal.SIGALRM, previous)
 
 
 if __name__ == "__main__":

@@ -198,13 +198,12 @@ class SiCode:
 
 def _build_si_from_graph(g: Graph, support: frozenset, p: Distribution,
                          n: int, eps: float, budget: Budget,
-                         exact_coloring_limit: int = 256,
                          vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> SiCode:
     from .typicality import typical_induced_subgraph
 
     pg = ProbabilisticGraph(g, p)
     induced, members = typical_induced_subgraph(pg, n, eps, vertex_budget)
-    if induced.n <= exact_coloring_limit:
+    if induced.n <= 256:  # the exact solver's vertex limit
         coloring = chromatic_number_exact(induced.graph, budget).coloring
     else:
         coloring = dsatur_greedy(induced.graph)
@@ -523,10 +522,6 @@ class SumChannelCode:
                 raise ValueError("per-channel books must be independence-checked")
 
     @property
-    def block_count(self) -> int:
-        return sum(self.composition)
-
-    @property
     def letter_count(self) -> int:
         return sum(c * b.n for c, b in zip(self.composition, self.books))
 
@@ -614,22 +609,21 @@ def sum_channel_roundtrip(code: SumChannelCode, trials: int, seed: int = 0) -> i
 # shifted codebooks (two-factor product alphabet)
 
 
-def shifted_codebook(book: Codebook, n1: int, n2: int,
-                     target_marginals=None, size_budget: int = 1 << 20) -> Codebook:
+def shifted_codebook(book: Codebook, n1: int, n2: int) -> Codebook:
     """All cyclic first-component shifts of the codebook, concatenated across
-    shifts, filtered to sequences typical for the product of marginals.
+    shifts, filtered to sequences typical for the product of the book-average
+    marginals.
 
     The book is over the product alphabet [n1] x [n2] encoded as i1*n2+i2.
     Each shift preserves independence, and concatenations of independent
     sets stay independent, so the output keeps independence_checked.  The
-    tolerance is the drift of the book-average marginals from the target
-    product plus n^(-1/4); with default targets the drift term is zero.
+    typicality tolerance is n^(-1/4).
     """
     if not book.independence_checked:
         raise ValueError("input book must be independence-checked")
     n = book.n
     words = book.codewords
-    if len(words) ** n > size_budget:
+    if len(words) ** n > 1 << 20:
         raise ZeroErrError("shift concatenation exceeds the size budget")
 
     def split(word):
@@ -643,14 +637,7 @@ def shifted_codebook(book: Codebook, n1: int, n2: int,
             q1[s] += 1.0 / (n * len(words))
         for s in b:
             q2[s] += 1.0 / (n * len(words))
-    if target_marginals is None:
-        p1, p2 = q1, q2
-    else:
-        p1 = [float(x) for x in target_marginals[0].weights]
-        p2 = [float(x) for x in target_marginals[1].weights]
-    drift = max(abs(q1[i] * q2[j] - p1[i] * p2[j])
-                for i in range(n1) for j in range(n2))
-    eps = drift + n ** -0.25
+    eps = n ** -0.25
 
     shifted = []
     for t in range(n):
@@ -668,7 +655,7 @@ def shifted_codebook(book: Codebook, n1: int, n2: int,
                 counts[s] = counts.get(s, 0) + 1
         total = n * n
         return all(
-            abs(counts.get(i * n2 + j, 0) / total - p1[i] * p2[j]) <= eps + 1e-12
+            abs(counts.get(i * n2 + j, 0) / total - q1[i] * q2[j]) <= eps + 1e-12
             for i in range(n1) for j in range(n2)
         )
 

@@ -1,15 +1,14 @@
 """Exact combinatorial solvers on bitset graphs.
 
 All solvers are deterministic: vertices are ordered by descending degree at
-the root (ties by index) and never reordered afterwards.  Budgets combine a
-node count and wall-clock seconds; running out degrades the result to a
-flagged one-sided bound instead of raising.
+the root (ties by index) and never reordered afterwards.  Budgets count
+nodes, never seconds, so no result depends on the machine's speed; running
+out degrades the result to a flagged one-sided bound instead of raising.
 """
 
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 from .graphs import (
@@ -27,7 +26,6 @@ from .graphs import (
 @dataclass(frozen=True)
 class Budget:
     nodes: int = 5_000_000
-    seconds: float = 30.0
 
 
 DEFAULT_BUDGET = Budget()
@@ -116,7 +114,6 @@ class _CliqueSolver:
         self.order, self.rows = root  # the `_root_order` of g
         self.n = g.n
         self.budget = budget
-        self.deadline = time.monotonic() + budget.seconds
         self.nodes = 0
         self.best_size = 0
         self.best_set = 0
@@ -143,8 +140,7 @@ class _CliqueSolver:
 
     def _expand(self, current: int, size: int, cand: int):
         nodes = self.nodes = self.nodes + 1
-        if nodes > self.budget.nodes or (
-                not nodes & 1023 and time.monotonic() > self.deadline):
+        if nodes > self.budget.nodes:
             raise _Stop
         rows = self.rows
         # greedy coloring of cand: vertex order with per-vertex color bounds
@@ -337,7 +333,6 @@ class _ChiSolver:
     def __init__(self, g: Graph, budget: Budget, lower: int, root):
         self.n = g.n
         self.budget = budget
-        self.deadline = time.monotonic() + budget.seconds
         self.nodes = 0
         self.lower = lower
         self.proved = False
@@ -366,8 +361,7 @@ class _ChiSolver:
             self.proved = True  # matched the clique bound: optimum certain
             raise _Stop
         self.nodes += 1
-        if self.nodes > self.budget.nodes or (
-                self.nodes % 1024 == 0 and time.monotonic() > self.deadline):
+        if self.nodes > self.budget.nodes:
             raise _Stop
         if not free:
             self.best_k = used

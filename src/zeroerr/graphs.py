@@ -157,10 +157,6 @@ class Distribution:
     def uniform(n: int) -> "Distribution":
         return Distribution((Fraction(1, n),) * n)
 
-    @staticmethod
-    def point_mass(n: int, i: int) -> "Distribution":
-        return Distribution(tuple(Fraction(1) if j == i else Fraction(0) for j in range(n)))
-
     def to_json_value(self):
         if self.is_rational:
             den = math.lcm(*(Fraction(w).denominator for w in self.weights)) if self.weights else 1

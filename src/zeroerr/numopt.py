@@ -103,7 +103,7 @@ def _korner_gap(member: np.ndarray, p: np.ndarray, cov: np.ndarray) -> float:
 
 
 def korner_entropy(pg: ProbabilisticGraph, tol: float = 1e-9,
-                   max_iter: int = 100_000, mis_limit: int = 1_000_000) -> KornerSolution:
+                   max_iter: int = 100_000) -> KornerSolution:
     """Koerner graph entropy min I(W;X) s.t. X in W, W independent.
 
     The W alphabet is restricted to maximal independent sets: enlarging any
@@ -118,7 +118,7 @@ def korner_entropy(pg: ProbabilisticGraph, tol: float = 1e-9,
     Each call enumerates the sets and starts from the uniform r; the
     iteration itself is the kernel shared with `perfect_capacity_evaluator`.
     """
-    sets = mis_masks(pg.graph, mis_limit)
+    sets = mis_masks(pg.graph)
     member = _membership(sets, pg.n)
     p = np.array([float(x) for x in pg.dist.weights])
     r, cov, value, iterations, converged, history = _korner_iterate(
@@ -303,8 +303,7 @@ def jacobi_eigenvalues(matrix: np.ndarray, off_threshold: float = 1e-12,
     return np.sort(np.diag(a))
 
 
-def theta_transitive(g: Graph, assume_transitive: bool = False,
-                     node_budget: int = 10_000_000) -> float:
+def theta_transitive(g: Graph, assume_transitive: bool = False) -> float:
     """Lovasz number for regular vertex- and edge-transitive graphs via the
     eigenvalue formula theta = n (-lambda_min) / (d - lambda_min).
 
@@ -320,9 +319,9 @@ def theta_transitive(g: Graph, assume_transitive: bool = False,
     if d == 0:
         return float(g.n)
     if not assume_transitive:
-        if not is_vertex_transitive(g, node_budget):
+        if not is_vertex_transitive(g):
             raise ZeroErrError("graph is not vertex-transitive")
-        if not is_edge_transitive(g, node_budget):
+        if not is_edge_transitive(g):
             raise ZeroErrError("graph is not edge-transitive")
     adj = np.zeros((g.n, g.n))
     for i in range(g.n):

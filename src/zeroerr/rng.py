@@ -37,10 +37,3 @@ class SplitMix64:
             x = self.next_u64()
             if x < limit:
                 return x % n
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
-
-    def spawn(self, stream: int) -> "SplitMix64":
-        """Derived generator for a parallel stream (e.g. per-trial seeds)."""
-        return SplitMix64(self.state ^ (0xA5A5A5A55A5A5A5A + stream * 0x9E3779B97F4A7C15))

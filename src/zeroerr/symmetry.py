@@ -70,11 +70,10 @@ def _refine(g: Graph, colors):
 class _IsoSearch:
     """Bijection search g1 -> g2 respecting colors, with forward checking."""
 
-    def __init__(self, g1: Graph, g2: Graph, colors1, colors2, node_budget):
+    def __init__(self, g1: Graph, g2: Graph, colors1, colors2):
         self.g1, self.g2 = g1, g2
         self.colors1, self.colors2 = list(colors1), list(colors2)
         self.nodes = 0
-        self.budget = node_budget
 
     def run(self, forced=()):
         n = self.g1.n
@@ -140,7 +139,7 @@ class _IsoSearch:
         if not unmapped:
             return list(mapping)
         self.nodes += 1
-        if self.nodes > self.budget:
+        if self.nodes > DEFAULT_NODE_BUDGET:
             raise Undecided("undecided (budget)")
         v = min(unmapped, key=lambda u: popcount(cand[u]))
         for w in bits_of(cand[v]):
@@ -165,7 +164,6 @@ def _degree_colors(g: Graph):
 
 
 def is_isomorphic(pg1: ProbabilisticGraph, pg2: ProbabilisticGraph,
-                  node_budget: int = DEFAULT_NODE_BUDGET,
                   vertex_budget: int = DEFAULT_ISO_VERTEX_BUDGET):
     """Weight-preserving isomorphism between probabilistic graphs.
 
@@ -189,24 +187,23 @@ def is_isomorphic(pg1: ProbabilisticGraph, pg2: ProbabilisticGraph,
     c2 = [wc[1][v] + base * _degree_colors(g2)[v] for v in range(g2.n)]
     if sorted(c1) != sorted(c2):
         return None
-    return _IsoSearch(g1, g2, c1, c2, node_budget).run()
+    return _IsoSearch(g1, g2, c1, c2).run()
 
 
-def graph_isomorphic(g1: Graph, g2: Graph, node_budget: int = DEFAULT_NODE_BUDGET):
+def graph_isomorphic(g1: Graph, g2: Graph):
     """Plain graph isomorphism (weights ignored); returns mapping or None."""
     if g1.n != g2.n or g1.edge_count() != g2.edge_count():
         return None
-    return _IsoSearch(g1, g2, _degree_colors(g1), _degree_colors(g2), node_budget).run()
+    return _IsoSearch(g1, g2, _degree_colors(g1), _degree_colors(g2)).run()
 
 
-def find_automorphism(g: Graph, forced, node_budget: int = DEFAULT_NODE_BUDGET):
+def find_automorphism(g: Graph, forced):
     """Automorphism of g with prescribed images `forced` = [(v, image)]."""
     colors = _degree_colors(g)
-    return _IsoSearch(g, g, colors, colors, node_budget).run(forced)
+    return _IsoSearch(g, g, colors, colors).run(forced)
 
 
-def is_vertex_transitive(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
-                         vertex_budget: int = 32) -> bool:
+def is_vertex_transitive(g: Graph, vertex_budget: int = 32) -> bool:
     """True iff some automorphism maps vertex 0 to every other vertex."""
     if g.n > vertex_budget:
         raise Undecided("undecided (budget): graph too large for transitivity search")
@@ -214,12 +211,11 @@ def is_vertex_transitive(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
         return True
     if not g.is_regular():
         return False
-    return all(find_automorphism(g, [(0, v)], node_budget) is not None
+    return all(find_automorphism(g, [(0, v)]) is not None
                for v in range(1, g.n))
 
 
-def is_edge_transitive(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
-                       vertex_budget: int = 32) -> bool:
+def is_edge_transitive(g: Graph, vertex_budget: int = 32) -> bool:
     """True iff the automorphism group is transitive on unordered edges."""
     if g.n > vertex_budget:
         raise Undecided("undecided (budget): graph too large for transitivity search")
@@ -228,8 +224,8 @@ def is_edge_transitive(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET,
         return True
     s, t = edges[0]
     for u, v in edges[1:]:
-        if find_automorphism(g, [(s, u), (t, v)], node_budget) is None:
-            if find_automorphism(g, [(s, v), (t, u)], node_budget) is None:
+        if find_automorphism(g, [(s, u), (t, v)]) is None:
+            if find_automorphism(g, [(s, v), (t, u)]) is None:
                 return False
     return True
 

@@ -393,7 +393,7 @@ def test_criterion_10_codec_zero_error():
 
 def test_criterion_11_bound_pipeline_soundness():
     rng = SplitMix64(1111)
-    budget = Budget(nodes=100_000, seconds=3600)
+    budget = Budget(nodes=100_000)
     corpus = [cycle(5), cycle(6), cycle(7), complete(4), empty(4),
               and_product_graph(cycle(5), complete(2)),
               catalog_get("path", 5)]

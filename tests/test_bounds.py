@@ -137,7 +137,7 @@ def test_c_rel_complete_graphs_hi_not_below_lo():
 def test_soundness_and_monotone_refinement():
     rng = SplitMix64(7)
     # node-bounded budget: deterministic cuts keep refinement reproducible
-    budget = Budget(nodes=100_000, seconds=3600)
+    budget = Budget(nodes=100_000)
     for g in _corpus(rng):
         iv1 = c0_bounds(g, max_n=1, budget=budget)
         iv2 = c0_bounds(g, max_n=2, budget=budget)
@@ -200,7 +200,7 @@ def test_union_capacity_lower_bound():
 
 
 def test_budget_starved_still_sound():
-    tiny = Budget(nodes=2, seconds=30)
+    tiny = Budget(nodes=2)
     g = and_product_graph(cycle(5), cycle(5))
     iv = c0_bounds(g, max_n=1, budget=tiny)
     assert iv.lo <= iv.hi + 1e-9
@@ -222,7 +222,7 @@ def test_typical_alpha_estimate_examples():
 def test_typical_alpha_pentagon_heavyweight():
     # permutation-sequence subgraph of the 5th pentagon power: alpha = 25
     est = typical_alpha_estimate(uniform_pgraph(cycle(5)), 5, 0.0,
-                                 Budget(nodes=50_000_000, seconds=180))
+                                 Budget(nodes=50_000_000))
     assert est.details["alpha_exact"]
     assert est.details["alpha"] == 25
     assert est.value == pytest.approx(math.log2(25) / 5)

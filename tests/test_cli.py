@@ -5,10 +5,11 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import zeroerr
-from zeroerr import cli
+from zeroerr import bounds, cli
 from zeroerr.cli import main
 
 
@@ -143,6 +144,46 @@ def test_error_paths(tmp_path, capsys):
     code, _, err = run(capsys, "graph", "power", "--graph", str(g), "--n", "9",
                        "--vertex-budget", "1000")
     assert code == 2 and "undecided" in err
+
+
+def test_time_budget_out_of_range_is_an_error(tmp_path, capsys):
+    # a zero interval would disarm the timer, so 0 must not mean "no limit";
+    # above 10^12 ms the timer itself overflows
+    g = tmp_path / "c5.json"
+    run(capsys, "graph", "catalog", "--name", "cycle", "--n", "5", "--out", str(g))
+    for ms in ("0", "-5", str(10 ** 12 + 1), str(10 ** 20)):
+        out = tmp_path / f"out{ms}.json"
+        code, stdout, err = run(capsys, "bounds", "c0", "--graph", str(g),
+                                "--time-budget-ms", ms, "--out", str(out))
+        assert code == 1 and stdout == "" and "error: time budget" in err
+        assert not out.exists()
+
+
+def test_time_budget_aborts_through_swallowing_handlers(tmp_path, capsys, monkeypatch):
+    """The theta candidate of the C0 upper end swallows ZeroErrError and
+    Undecided; the time limit still aborts the command inside it."""
+    real = bounds.theta_transitive
+
+    def slow_theta(g):
+        end = time.monotonic() + 1.0
+        while time.monotonic() < end:
+            pass
+        return real(g)
+
+    monkeypatch.setattr(bounds, "theta_transitive", slow_theta)
+    g = tmp_path / "c5.json"
+    run(capsys, "graph", "catalog", "--name", "cycle", "--n", "5", "--out", str(g))
+    code, stdout, err = run(capsys, "bounds", "c0", "--graph", str(g),
+                            "--time-budget-ms", "50")
+    assert code == 2 and stdout == "" and "undecided: time budget" in err
+
+
+def test_verify_time_budget_abort_writes_no_file(tmp_path, capsys):
+    out, csv = tmp_path / "report.json", tmp_path / "report.csv"
+    code, stdout, err = run(capsys, "verify", "--time-budget-ms", "1",
+                            "--out", str(out), "--csv", str(csv))
+    assert code == 2 and stdout == "" and "undecided: time budget" in err
+    assert not out.exists() and not csv.exists()
 
 
 def test_output_determinism(tmp_path, capsys):

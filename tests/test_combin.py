@@ -76,7 +76,7 @@ def test_alpha_against_brute_force():
 
 def test_alpha_budget_degrades_to_lower_bound():
     g = and_power_graph(cycle(5), 2)
-    r = alpha_exact(g, Budget(nodes=3, seconds=30))
+    r = alpha_exact(g, Budget(nodes=3))
     assert not r.exact
     assert r.size <= 5
     assert is_independent(g, r.witness.vertices)
@@ -212,12 +212,12 @@ def test_chi_solver_matches_reference_search_node_for_node():
     for g, omega in _chi_instances():
         for nodes in (50, 500, 5000):
             for lower in (omega, 1):
-                budget = Budget(nodes=nodes, seconds=1e8)
+                budget = Budget(nodes=nodes)
                 assert _chi_solve(g, budget, lower) == chi_search_reference(g, budget, lower)
 
 
 def test_chi_solver_matches_reference_search_on_and_squares():
-    budget = Budget(nodes=10_000, seconds=1e8)
+    budget = Budget(nodes=10_000)
     for g, omega in _and_squares():
         assert _chi_solve(g, budget, omega) == chi_search_reference(g, budget, omega)
 
@@ -226,9 +226,9 @@ def test_chi_colour_limit_fix_only_prunes():
     """Re-reading the incumbent at each colour skips subtrees that cannot
     improve it, so against the loop that read it once per node no count
     rises, no exact flag is lost and no search visits more nodes."""
-    budgets = [Budget(nodes=n, seconds=1e8) for n in (50, 500, 5000)]
+    budgets = [Budget(nodes=n) for n in (50, 500, 5000)]
     runs = [(g, omega, b) for g, omega in _chi_instances() for b in budgets]
-    runs += [(g, omega, Budget(nodes=10_000, seconds=1e8)) for g, omega in _and_squares()]
+    runs += [(g, omega, Budget(nodes=10_000)) for g, omega in _and_squares()]
     pruned = 0
     for g, omega, budget in runs:
         count, _, exact, nodes = _chi_solve(g, budget, omega)

@@ -10,6 +10,7 @@ AND powers; a change that alters them must say why.
 """
 
 import json
+import signal
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,20 @@ def test_bounds_golden(item, tmp_path, capsys):
     assert main(["bounds", quantity, "--graph", str(path), "--max-n", "2",
                  "--node-budget", "10000"]) == 0
     assert capsys.readouterr().out == BOUNDS["outputs"][item]
+
+
+def test_bounds_golden_at_every_time_budget_that_finishes(tmp_path, capsys):
+    """The time budget aborts a command or leaves its bytes alone: it never
+    shapes a payload, and it leaves no timer or SIGALRM handler behind."""
+    path = tmp_path / "C7.json"
+    path.write_text(json.dumps(BOUNDS["graphs"]["C7"]))
+    argv = ["bounds", "h0", "--graph", str(path), "--max-n", "2", "--node-budget", "10000"]
+    handler = signal.getsignal(signal.SIGALRM)
+    for extra in ([], ["--time-budget-ms", "100000000"]):
+        assert main(argv + extra) == 0
+        assert capsys.readouterr().out == BOUNDS["outputs"]["C7/h0"]
+    assert main(argv + ["--time-budget-ms", "1"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "undecided: time budget" in out.err
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGALRM) is handler

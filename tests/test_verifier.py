@@ -40,7 +40,7 @@ def test_single_scenario_passes():
 
 
 def test_budget_starved_reports_undecided():
-    starved = VerifyConfig(trials=50, budget=Budget(nodes=2, seconds=3600))
+    starved = VerifyConfig(trials=50, budget=Budget(nodes=2))
     rep = run_scenario(_by_id("pentagon"), starved)
     assert rep["status"] == "undecided"
     assert "budget" in rep["reason"]
