@@ -1,6 +1,7 @@
 """Zero-error source/channel coding quantities on probabilistic graphs."""
 
 from .graphs import (
+    Budget,
     BudgetExceeded,
     ChannelSpec,
     Distribution,
@@ -25,7 +26,6 @@ from .graphs import (
 )
 from .combin import (
     AlphaResult,
-    Budget,
     ChiResult,
     Coloring,
     HChiResult,

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, field
 
 from .graphs import (
-    DEFAULT_VERTEX_BUDGET,
+    Budget,
     Graph,
     ProbabilisticGraph,
     Undecided,
@@ -22,8 +22,6 @@ from .graphs import (
     and_product_graph,
 )
 from .combin import (
-    Budget,
-    DEFAULT_BUDGET,
     alpha_exact,
     chromatic_number_exact,
     clique_cover_number,
@@ -124,29 +122,30 @@ def _certified_perfect(g: Graph) -> bool:
         return False
 
 
-def _powers(g: Graph, max_n: int, vertex_budget: int):
+def _powers(g: Graph, max_n: int):
     """Yield (n, G^n) for n = 1..max_n, each power the previous one times G;
-    stop before a power would exceed `vertex_budget` vertices."""
+    stop before a power would exceed the budget's vertex limit."""
+    limit = Budget.current().vertices
     power = g
     for n in range(1, max_n + 1):
         if n > 1:
-            if g.n ** n > vertex_budget:
+            if g.n ** n > limit:
                 return
-            power = and_product_graph(power, g, vertex_budget)
+            power = and_product_graph(power, g)
         yield n, power
 
 
-def _c0_upper(g: Graph, powers, budget: Budget, factors) -> list:
+def _c0_upper(g: Graph, powers, factors) -> list:
     """Upper candidates on C0(G): clique covers of the powers, the product of
     factor covers, theta on transitive graphs, A+I rank over GF(2), GF(3)."""
     cands = []
     for n, power in powers:
-        cover = clique_cover_number(power, budget)
+        cover = clique_cover_number(power)
         cands.append((math.log2(cover.count) / n,
                       Certificate("clique_cover_power",
                                   {"n": n, "cover": cover.count, "exact": cover.exact})))
     if factors:
-        covers = [clique_cover_number(f, budget) for f in factors]
+        covers = [clique_cover_number(f) for f in factors]
         cands.append((math.log2(math.prod(c.count for c in covers)),
                       Certificate("product_clique_cover",
                                   {"factor_covers": [c.count for c in covers],
@@ -177,8 +176,7 @@ def _interval(lo_cands, hi_cands) -> BoundInterval:
 # C0
 
 
-def c0_bounds(g: Graph, max_n: int = 1, budget: Budget = DEFAULT_BUDGET,
-              vertex_budget: int = DEFAULT_VERTEX_BUDGET, factors=None) -> BoundInterval:
+def c0_bounds(g: Graph, max_n: int = 1, factors=None) -> BoundInterval:
     """Certified interval on the zero-error capacity C0(G) in bits.
 
     `factors`: optional AND-factorization of g; factor clique covers multiply
@@ -187,37 +185,36 @@ def c0_bounds(g: Graph, max_n: int = 1, budget: Budget = DEFAULT_BUDGET,
     if g.n == 0:
         raise ValueError("empty graph")
     if _certified_perfect(g):
-        a = alpha_exact(g, budget)
+        a = alpha_exact(g)
         if a.exact:
             v = math.log2(a.size)
             cert = Certificate("perfect_alpha", {"alpha": a.size})
             return BoundInterval(v, v, cert, cert)
 
-    powers = list(_powers(g, max_n, vertex_budget))
+    powers = list(_powers(g, max_n))
     lo_cands = [(0.0, Certificate("trivial_zero"))]
     for n, power in powers:
-        a = alpha_exact(power, budget)
+        a = alpha_exact(power)
         lo_cands.append((math.log2(a.size) / n,
                          Certificate("alpha_power",
                                      {"n": n, "alpha": a.size, "exact": a.exact})))
-    return _interval(lo_cands, _c0_upper(g, powers, budget, factors))
+    return _interval(lo_cands, _c0_upper(g, powers, factors))
 
 
 # ---------------------------------------------------------------------------
 # H0 (Witsenhausen rate)
 
 
-def h0_bounds(g: Graph, max_n: int = 1, budget: Budget = DEFAULT_BUDGET,
-              vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> BoundInterval:
+def h0_bounds(g: Graph, max_n: int = 1) -> BoundInterval:
     """Certified interval on the fixed-length rate H0(G) = lim (1/n) log chi(G^n)."""
     if g.n == 0:
         raise ValueError("empty graph")
-    w = omega_exact(g, budget)
+    w = omega_exact(g)
     lo_cands = [(math.log2(w.size),
                  Certificate("omega_one_shot", {"omega": w.size, "exact": w.exact}))]
     hi_cands = []
-    for n, power in _powers(g, max_n, vertex_budget):
-        chi = chromatic_number_exact(power, budget)
+    for n, power in _powers(g, max_n):
+        chi = chromatic_number_exact(power)
         hi_cands.append((math.log2(chi.count) / n,
                          Certificate("chi_power",
                                      {"n": n, "chi": chi.count, "exact": chi.exact})))
@@ -228,8 +225,7 @@ def h0_bounds(g: Graph, max_n: int = 1, budget: Budget = DEFAULT_BUDGET,
 # Hbar (complementary graph entropy)
 
 
-def hbar_bounds(pg: ProbabilisticGraph, max_n: int = 1, budget: Budget = DEFAULT_BUDGET,
-                vertex_budget: int = DEFAULT_VERTEX_BUDGET, korner_tol: float = 1e-10,
+def hbar_bounds(pg: ProbabilisticGraph, max_n: int = 1, korner_tol: float = 1e-10,
                 factors=None) -> BoundInterval:
     """Certified interval on Hbar(G, P) in bits.
 
@@ -248,7 +244,7 @@ def hbar_bounds(pg: ProbabilisticGraph, max_n: int = 1, budget: Budget = DEFAULT
                            {"value": sol.value, "converged": sol.converged})
         return BoundInterval(sol.value, sol.value, cert, cert)
 
-    powers = list(_powers(g, max_n, vertex_budget))
+    powers = list(_powers(g, max_n))
     hi_cands = []
     dist = pg.dist
     for n, power in powers:
@@ -258,7 +254,7 @@ def hbar_bounds(pg: ProbabilisticGraph, max_n: int = 1, budget: Budget = DEFAULT
         method = "hchi_power_exact" if hchi.exact else "hchi_power_heuristic"
         hi_cands.append((hchi.value / n,
                          Certificate(method, {"n": n, "value": hchi.value})))
-        chi = chromatic_number_exact(power, budget)
+        chi = chromatic_number_exact(power)
         hi_cands.append((math.log2(chi.count) / n,
                          Certificate("chi_power",
                                      {"n": n, "chi": chi.count, "exact": chi.exact})))
@@ -267,7 +263,7 @@ def hbar_bounds(pg: ProbabilisticGraph, max_n: int = 1, budget: Budget = DEFAULT
     if sol.converged:
         hi_cands.append((sol.value, Certificate("korner_upper", {"value": sol.value})))
 
-    c0_hi, c0_hi_cert = min(_c0_upper(g, powers, budget, factors), key=lambda c: c[0])
+    c0_hi, c0_hi_cert = min(_c0_upper(g, powers, factors), key=lambda c: c[0])
     h = pg.dist.entropy()
     lo_cands = [
         (0.0, Certificate("trivial_zero")),
@@ -304,16 +300,14 @@ class Estimate:
     details: dict = field(default_factory=dict)
 
 
-def typical_alpha_estimate(pg: ProbabilisticGraph, n: int, eps: float,
-                           budget: Budget = DEFAULT_BUDGET,
-                           vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Estimate:
+def typical_alpha_estimate(pg: ProbabilisticGraph, n: int, eps: float) -> Estimate:
     """(1/n) log alpha(G^n[typical set]): an estimate of C(G,P).
 
     The double limit in the definition of C(G,P) prevents a one-sided
     finite-(n, eps) certificate, so this value is explicitly non-certified.
     """
-    sub, members = typical_induced_subgraph(pg, n, eps, vertex_budget)
-    a = alpha_exact(sub.graph, budget)
+    sub, members = typical_induced_subgraph(pg, n, eps)
+    a = alpha_exact(sub.graph)
     return Estimate(math.log2(a.size) / n, False,
                     "non-certified estimate of C(G,P)",
                     {"n": n, "eps": eps, "alpha": a.size,

@@ -2,9 +2,12 @@
 
 Subcommands: graph, solve, entropy, bounds, codec, eta, verify.  All numeric
 output uses 9 significant digits; outputs are byte-identical for identical
-(input, config, seed).  Exit codes: 0 success, 2 budget-undecided, 1 error.
-Only node and size budgets shape a payload: `--time-budget-ms` is one hard
-limit on the whole command, which then exits 2 and writes no output at all.
+(input, config, seed).  Exit codes: 0 success, 2 budget-undecided, 1 error;
+a closed stdout ends the command silently with 0.  `main` runs every
+subcommand, `verify` included, inside one `Budget(nodes=--node-budget,
+vertices=--vertex-budget)` scope.  Only these node and vertex budgets shape
+a payload: `--time-budget-ms` is one hard limit on the whole command, which
+then exits 2 and writes no output at all.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import sys
 from fractions import Fraction
 
 from .graphs import (
+    Budget,
     BudgetExceeded,
     Distribution,
     ProbabilisticGraph,
@@ -38,7 +42,6 @@ from .graphs import (
     uniform_pgraph,
 )
 from .combin import (
-    Budget,
     alpha_exact,
     chromatic_number_exact,
     maximal_independent_sets,
@@ -96,10 +99,6 @@ def _emit(args, payload: dict) -> None:
         print(_payload_csv(payload), end="")
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
-
-
-def _budget(args) -> Budget:
-    return Budget(nodes=args.node_budget)
 
 
 def _load_graph(path: str):
@@ -160,11 +159,11 @@ def _cmd_graph(args) -> int:
     if args.action == "product":
         a = _load_pgraph(args.graph)
         b = _load_pgraph(args.graph2)
-        _emit(args, and_product(a, b, args.vertex_budget).to_json_dict())
+        _emit(args, and_product(a, b).to_json_dict())
         return 0
     if args.action == "power":
         a = _load_pgraph(args.graph)
-        _emit(args, and_power(a, args.n, args.vertex_budget).to_json_dict())
+        _emit(args, and_power(a, args.n).to_json_dict())
         return 0
     if args.action == "union":
         a = _load_pgraph(args.graph)
@@ -195,23 +194,22 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    budget = _budget(args)
     exit_code = 0
     if args.problem == "alpha":
         g = _load_graph(args.graph)
-        res = alpha_exact(g, budget)
+        res = alpha_exact(g)
         exit_code = 0 if res.exact else 2
         _emit(args, {"alpha": res.size, "exact": res.exact,
                      "witness": res.witness.to_list()})
     elif args.problem == "omega":
         g = _load_graph(args.graph)
-        res = omega_exact(g, budget)
+        res = omega_exact(g)
         exit_code = 0 if res.exact else 2
         _emit(args, {"omega": res.size, "exact": res.exact,
                      "witness": res.witness.to_list()})
     elif args.problem == "chi":
         g = _load_graph(args.graph)
-        res = chromatic_number_exact(g, budget)
+        res = chromatic_number_exact(g)
         exit_code = 0 if res.exact else 2
         _emit(args, {"chi": res.count, "exact": res.exact,
                      "coloring": list(res.coloring.color_of)})
@@ -251,35 +249,29 @@ def _cmd_entropy(args) -> int:
 
 
 def _cmd_bounds(args) -> int:
-    budget = _budget(args)
     if args.quantity == "c0":
         g = _load_graph(args.graph)
-        iv = c0_bounds(g, max_n=args.max_n, budget=budget,
-                       vertex_budget=args.vertex_budget)
+        iv = c0_bounds(g, max_n=args.max_n)
         _emit(args, _interval_payload("C0", iv))
         return 0
     if args.quantity == "h0":
         g = _load_graph(args.graph)
-        iv = h0_bounds(g, max_n=args.max_n, budget=budget,
-                       vertex_budget=args.vertex_budget)
+        iv = h0_bounds(g, max_n=args.max_n)
         _emit(args, _interval_payload("H0", iv))
         return 0
     if args.quantity == "hbar":
         pg = _load_pgraph(args.graph, args.dist)
-        iv = hbar_bounds(pg, max_n=args.max_n, budget=budget,
-                         vertex_budget=args.vertex_budget)
+        iv = hbar_bounds(pg, max_n=args.max_n)
         _emit(args, _interval_payload("Hbar", iv))
         return 0
     if args.quantity == "c":
         pg = _load_pgraph(args.graph, args.dist)
-        iv = c_rel_bounds(pg, max_n=args.max_n, budget=budget,
-                          vertex_budget=args.vertex_budget)
+        iv = c_rel_bounds(pg, max_n=args.max_n)
         _emit(args, _interval_payload("C", iv))
         return 0
     if args.quantity == "typical-alpha":
         pg = _load_pgraph(args.graph, args.dist)
-        est = typical_alpha_estimate(pg, args.n, args.eps, budget,
-                                     args.vertex_budget)
+        est = typical_alpha_estimate(pg, args.n, args.eps)
         _emit(args, {"quantity": "typical-alpha",
                      "value": float(_fmt(est.value)),
                      "certified": est.certified, "note": est.note,
@@ -297,8 +289,7 @@ def _cmd_codec(args) -> int:
         raise ValueError("codec sum requires --composition")
     if args.kind == "channel":
         chan = channel_from_json_dict(load_json(args.channel))
-        book = build_channel_code(chan, args.n, args.target, _budget(args),
-                                  args.vertex_budget)
+        book = build_channel_code(chan, args.n, args.target)
         _emit(args, {"n": book.n, "codewords": book.to_json_list(),
                      "rate_bits": float(_fmt(book.rate())),
                      "independence_checked": book.independence_checked})
@@ -307,7 +298,7 @@ def _cmd_codec(args) -> int:
         chan = channel_from_json_dict(load_json(args.channel))
         p = _parse_dist(args.dist, chan.x_count) if args.dist \
             else Distribution.uniform(chan.x_count)
-        code = build_si_code(chan, p, args.n, args.eps, _budget(args))
+        code = build_si_code(chan, p, args.n, args.eps)
         _emit(args, {"n": code.n, "eps": code.eps,
                      "typical_count": len(code.typical_members),
                      "colors": code.color_count,
@@ -323,7 +314,7 @@ def _cmd_codec(args) -> int:
         spec = PartialSideInfoSpec(
             chan, tuple(int(a) for a in raw["g_map"]),
             tuple((int(x), int(y), float(w)) for x, y, w in raw["joint"]))
-        code = build_partial_si_code(spec, args.n, args.eps, _budget(args))
+        code = build_partial_si_code(spec, args.n, args.eps)
         errors, bits_total = partial_si_roundtrip(code, args.trials, args.seed)
         _emit(args, {"mode": "partial-si", "n": args.n, "eps": args.eps,
                      "components": spec.component_count,
@@ -341,9 +332,7 @@ def _cmd_codec(args) -> int:
         composition = tuple(int(c) for c in args.composition.split(","))
         lens = [int(x) for x in args.book_n.split(",")] if args.book_n \
             else [1] * len(channels)
-        books = [build_channel_code(ch, m, args.target, _budget(args),
-                                    args.vertex_budget)
-                 for ch, m in zip(channels, lens)]
+        books = [build_channel_code(ch, m, args.target) for ch, m in zip(channels, lens)]
         code = build_sum_channel_code(channels, books, composition)
         errors = sum_channel_roundtrip(code, args.trials, args.seed)
         _emit(args, {"mode": "sum", "composition": list(composition),
@@ -355,8 +344,7 @@ def _cmd_codec(args) -> int:
     if args.kind == "simulate":
         chan = channel_from_json_dict(load_json(args.channel))
         if args.mode == "channel":
-            book = build_channel_code(chan, args.n, args.target, _budget(args),
-                                      args.vertex_budget)
+            book = build_channel_code(chan, args.n, args.target)
             errors = channel_roundtrip(book, chan, args.trials, args.seed)
             _emit(args, {"mode": "channel", "trials": args.trials,
                          "errors": errors,
@@ -364,7 +352,7 @@ def _cmd_codec(args) -> int:
             return 0 if errors == 0 else 1
         p = _parse_dist(args.dist, chan.x_count) if args.dist \
             else Distribution.uniform(chan.x_count)
-        code = build_si_code(chan, p, args.n, args.eps, _budget(args))
+        code = build_si_code(chan, p, args.n, args.eps)
         rng = SplitMix64(args.seed)
         rows = {x: chan.outputs_of(x) for x in range(chan.x_count)}
         cum = []
@@ -397,9 +385,7 @@ def _cmd_eta(args) -> int:
     data = load_json(args.parts)
     parts = [pgraph_from_json_dict(d) for d in data]
     pa = Distribution(tuple(Fraction(p) for p in args.pa.split(",")))
-    iv, product, k = eta_bounds(parts, pa, max_n=args.max_n,
-                                vertex_budget=args.vertex_budget,
-                                budget=_budget(args))
+    iv, product, k = eta_bounds(parts, pa, max_n=args.max_n)
     payload = _interval_payload("eta", iv)
     payload["k"] = k
     payload["product_vertices"] = product.n
@@ -411,10 +397,8 @@ def _cmd_verify(args) -> int:
     matrix = None
     if args.haemers_matrix:
         matrix = matrix_from_json_dict(load_json(args.haemers_matrix))
-    cfg = VerifyConfig(seed=args.seed, trials=args.trials, budget=_budget(args),
-                       vertex_budget=args.vertex_budget,
-                       haemers_matrix=matrix, tags=tuple(args.tag or ()),
-                       threads=args.threads)
+    cfg = VerifyConfig(seed=args.seed, trials=args.trials, haemers_matrix=matrix,
+                       tags=tuple(args.tag or ()), threads=args.threads)
     report = full_suite(cfg)
     _disarm()
     if args.csv:
@@ -550,9 +534,18 @@ def main(argv=None) -> int:
             if not 0 < args.time_budget_ms <= 10 ** 12:  # the timer's range
                 raise ZeroErrError(f"time budget must be 1 to 10^12 ms: {args.time_budget_ms}")
             signal.setitimer(signal.ITIMER_REAL, args.time_budget_ms / 1000.0)
-            return args.func(args)
+            with Budget(nodes=args.node_budget, vertices=args.vertex_budget):
+                code = args.func(args)
+            sys.stdout.flush()  # a closed stdout must fail here, not at exit
+            return code
         finally:
             _disarm()
+    except BrokenPipeError:
+        # the reader left; the interpreter's flush at exit must not fail too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except _TimeBudgetExhausted:
         print(f"undecided: time budget of {args.time_budget_ms} ms exhausted", file=sys.stderr)
         return 2

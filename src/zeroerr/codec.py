@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 from types import SimpleNamespace
 
 from .graphs import (
+    Budget,
     ChannelSpec,
-    DEFAULT_VERTEX_BUDGET,
     Distribution,
     Graph,
     ProbabilisticGraph,
@@ -28,8 +28,6 @@ from .graphs import (
     characteristic_graph,
 )
 from .combin import (
-    Budget,
-    DEFAULT_BUDGET,
     alpha_exact,
     chromatic_number_exact,
     dsatur_greedy,
@@ -197,14 +195,13 @@ class SiCode:
 
 
 def _build_si_from_graph(g: Graph, support: frozenset, p: Distribution,
-                         n: int, eps: float, budget: Budget,
-                         vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> SiCode:
+                         n: int, eps: float) -> SiCode:
     from .typicality import typical_induced_subgraph
 
     pg = ProbabilisticGraph(g, p)
-    induced, members = typical_induced_subgraph(pg, n, eps, vertex_budget)
+    induced, members = typical_induced_subgraph(pg, n, eps)
     if induced.n <= 256:  # the exact solver's vertex limit
-        coloring = chromatic_number_exact(induced.graph, budget).coloring
+        coloring = chromatic_number_exact(induced.graph).coloring
     else:
         coloring = dsatur_greedy(induced.graph)
     masses = [0.0] * coloring.color_count
@@ -216,12 +213,9 @@ def _build_si_from_graph(g: Graph, support: frozenset, p: Distribution,
                   coloring.color_count, codes, escape)
 
 
-def build_si_code(channel: ChannelSpec, p: Distribution, n: int, eps: float,
-                  budget: Budget = DEFAULT_BUDGET,
-                  vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> SiCode:
+def build_si_code(channel: ChannelSpec, p: Distribution, n: int, eps: float) -> SiCode:
     g = characteristic_graph(channel)
-    return _build_si_from_graph(g, channel.support, p, n, eps, budget,
-                                vertex_budget=vertex_budget)
+    return _build_si_from_graph(g, channel.support, p, n, eps)
 
 
 def si_roundtrip(code: SiCode, x_seq, y_seq):
@@ -284,12 +278,13 @@ class PartialSiCode:
     codewords concatenated in component order.
 
     Component codes are built lazily per realized subsequence length and
-    cached; the decoder re-derives the split from y^n."""
+    cached, under the budget that was active when the code was made; the
+    decoder re-derives the split from y^n."""
 
     spec: PartialSideInfoSpec
     n: int
     eps: float
-    budget: Budget = DEFAULT_BUDGET
+    budget: Budget = field(default_factory=Budget.current, init=False, repr=False)
     _cache: dict = field(default_factory=dict, repr=False)
 
     def _code_for(self, a: int, length: int) -> SiCode:
@@ -298,8 +293,9 @@ class PartialSiCode:
             support = self.spec.component_support(a)
             g = characteristic_graph(
                 SimpleNamespace(x_count=self.spec.channel.x_count, support=support))
-            self._cache[key] = _build_si_from_graph(
-                g, support, self.spec.component_dist(a), length, self.eps, self.budget)
+            with self.budget:
+                self._cache[key] = _build_si_from_graph(
+                    g, support, self.spec.component_dist(a), length, self.eps)
         return self._cache[key]
 
     def encode(self, x_seq, a_seq) -> str:
@@ -328,9 +324,8 @@ class PartialSiCode:
         return tuple(out)
 
 
-def build_partial_si_code(spec: PartialSideInfoSpec, n: int, eps: float,
-                          budget: Budget = DEFAULT_BUDGET) -> PartialSiCode:
-    return PartialSiCode(spec, n, eps, budget)
+def build_partial_si_code(spec: PartialSideInfoSpec, n: int, eps: float) -> PartialSiCode:
+    return PartialSiCode(spec, n, eps)
 
 
 def sample_joint(spec: PartialSideInfoSpec, n: int, rng: SplitMix64):
@@ -399,9 +394,7 @@ def verify_codebook(g: Graph, book: Codebook) -> bool:
     )
 
 
-def build_channel_code(channel: ChannelSpec, n: int, target: str = "exact",
-                       budget: Budget = DEFAULT_BUDGET,
-                       vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Codebook:
+def build_channel_code(channel: ChannelSpec, n: int, target: str = "exact") -> Codebook:
     """Zero-error codebook: maximum (exact) or greedy-maximal independent set
     in the n-th AND power of the characteristic graph."""
     from .typicality import index_sequence
@@ -409,9 +402,9 @@ def build_channel_code(channel: ChannelSpec, n: int, target: str = "exact",
     if target not in ("exact", "greedy"):
         raise ValueError(f"unknown target '{target}'")
     g = characteristic_graph(channel)
-    power = and_power_graph(g, n, vertex_budget)
+    power = and_power_graph(g, n)
     if target == "exact":
-        mask = alpha_exact(power, budget).witness.vertices
+        mask = alpha_exact(power).witness.vertices
     else:
         mask = greedy_maximal_independent_set(power).vertices
     if not is_independent(power, mask):

@@ -2,8 +2,9 @@
 
 All solvers are deterministic: vertices are ordered by descending degree at
 the root (ties by index) and never reordered afterwards.  Budgets count
-nodes, never seconds, so no result depends on the machine's speed; running
-out degrades the result to a flagged one-sided bound instead of raising.
+nodes, never seconds (each search reads `graphs.Budget.current()` when it
+starts), so no result depends on the machine's speed; running out degrades
+the result to a flagged one-sided bound instead of raising.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .graphs import (
+    Budget,
     Graph,
     ProbabilisticGraph,
     ZeroErrError,
@@ -21,14 +23,6 @@ from .graphs import (
     induced_subgraph_graph,
     popcount,
 )
-
-
-@dataclass(frozen=True)
-class Budget:
-    nodes: int = 5_000_000
-
-
-DEFAULT_BUDGET = Budget()
 
 
 class _Stop(Exception):
@@ -109,11 +103,11 @@ def _root_order(g: Graph):
 class _CliqueSolver:
     """Branch-and-bound maximum clique with greedy-coloring upper bounds."""
 
-    def __init__(self, g: Graph, budget: Budget, root):
+    def __init__(self, g: Graph, root):
         self.g = g
         self.order, self.rows = root  # the `_root_order` of g
         self.n = g.n
-        self.budget = budget
+        self.node_limit = Budget.current().nodes
         self.nodes = 0
         self.best_size = 0
         self.best_set = 0
@@ -140,7 +134,7 @@ class _CliqueSolver:
 
     def _expand(self, current: int, size: int, cand: int):
         nodes = self.nodes = self.nodes + 1
-        if nodes > self.budget.nodes:
+        if nodes > self.node_limit:
             raise _Stop
         rows = self.rows
         # greedy coloring of cand: vertex order with per-vertex color bounds
@@ -191,12 +185,12 @@ class _CliqueSolver:
         return self.best_size, witness, exact
 
 
-def max_clique(g: Graph, budget: Budget = DEFAULT_BUDGET):
+def max_clique(g: Graph):
     """(size, vertex bitset, exact flag); inexact results are still cliques."""
-    return _CliqueSolver(g, budget, _root_order(g)).solve()
+    return _CliqueSolver(g, _root_order(g)).solve()
 
 
-def alpha_exact(g: Graph, budget: Budget = DEFAULT_BUDGET) -> AlphaResult:
+def alpha_exact(g: Graph) -> AlphaResult:
     """Maximum independent set via branch and bound on the complement.
 
     Disconnected graphs decompose: alpha is additive over components."""
@@ -204,12 +198,12 @@ def alpha_exact(g: Graph, budget: Budget = DEFAULT_BUDGET) -> AlphaResult:
         raise ZeroErrError(f"alpha solver limited to 1024 vertices, got {g.n}")
     comps = connected_components(g)
     if len(comps) <= 1:
-        size, mask, exact = max_clique(complement(g), budget)
+        size, mask, exact = max_clique(complement(g))
     else:
         size, mask, exact = 0, 0, True
         for comp in comps:
             keep = list(bits_of(comp))
-            s, m, e = max_clique(complement(induced_subgraph_graph(g, keep)), budget)
+            s, m, e = max_clique(complement(induced_subgraph_graph(g, keep)))
             size += s
             exact = exact and e
             for v in bits_of(m):
@@ -219,9 +213,9 @@ def alpha_exact(g: Graph, budget: Budget = DEFAULT_BUDGET) -> AlphaResult:
     return AlphaResult(size, IndependentSetWitness(mask, size), exact)
 
 
-def omega_exact(g: Graph, budget: Budget = DEFAULT_BUDGET) -> AlphaResult:
+def omega_exact(g: Graph) -> AlphaResult:
     """Clique number as alpha of the complement."""
-    return alpha_exact(complement(g), budget)
+    return alpha_exact(complement(g))
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +324,9 @@ class _ChiSolver:
     ``rows[v] & ~near[c]``, which moves up one level; every change to
     ``near`` and ``level`` is undone exactly on backtrack."""
 
-    def __init__(self, g: Graph, budget: Budget, lower: int, root):
+    def __init__(self, g: Graph, lower: int, root):
         self.n = g.n
-        self.budget = budget
+        self.node_limit = Budget.current().nodes
         self.nodes = 0
         self.lower = lower
         self.proved = False
@@ -361,7 +355,7 @@ class _ChiSolver:
             self.proved = True  # matched the clique bound: optimum certain
             raise _Stop
         self.nodes += 1
-        if self.nodes > self.budget.nodes:
+        if self.nodes > self.node_limit:
             raise _Stop
         if not free:
             self.best_k = used
@@ -389,7 +383,7 @@ class _ChiSolver:
         level[s] |= bit
 
 
-def chromatic_number_exact(g: Graph, budget: Budget = DEFAULT_BUDGET) -> ChiResult:
+def chromatic_number_exact(g: Graph) -> ChiResult:
     """Exact chromatic number; degrades to a flagged upper bound on budget.
 
     Disconnected graphs decompose: chi is the maximum over components."""
@@ -403,7 +397,7 @@ def chromatic_number_exact(g: Graph, budget: Budget = DEFAULT_BUDGET) -> ChiResu
         k, exact = 0, True
         for comp in comps:
             keep = list(bits_of(comp))
-            res = chromatic_number_exact(induced_subgraph_graph(g, keep), budget)
+            res = chromatic_number_exact(induced_subgraph_graph(g, keep))
             k = max(k, res.count)
             exact = exact and res.exact
             for local, v in enumerate(keep):
@@ -411,29 +405,27 @@ def chromatic_number_exact(g: Graph, budget: Budget = DEFAULT_BUDGET) -> ChiResu
         colors = tuple(color_of)
     else:
         root = _root_order(g)  # one relabelling for both solvers
-        clique_size, _, clique_exact = _CliqueSolver(g, budget, root).solve()
-        k, colors, exact = _ChiSolver(
-            g, budget, clique_size if clique_exact else 1, root).solve()
+        clique_size, _, clique_exact = _CliqueSolver(g, root).solve()
+        k, colors, exact = _ChiSolver(g, clique_size if clique_exact else 1, root).solve()
     coloring = Coloring(colors, k)
     if not validate_coloring(g, coloring):
         raise ZeroErrError("chromatic solver returned an improper coloring")
     return ChiResult(k, coloring, exact)
 
 
-def clique_cover_number(g: Graph, budget: Budget = DEFAULT_BUDGET) -> ChiResult:
+def clique_cover_number(g: Graph) -> ChiResult:
     """Minimum partition into cliques: chi of the complement.
 
     Cliques never cross components, so covers add up across them; this keeps
     the complement solves small for disjoint unions."""
     comps = connected_components(g)
     if len(comps) <= 1:
-        return chromatic_number_exact(complement(g), budget)
+        return chromatic_number_exact(complement(g))
     color_of = [0] * g.n
     total, exact = 0, True
     for comp in comps:
         keep = list(bits_of(comp))
-        res = chromatic_number_exact(
-            complement(induced_subgraph_graph(g, keep)), budget)
+        res = chromatic_number_exact(complement(induced_subgraph_graph(g, keep)))
         for local, v in enumerate(keep):
             color_of[v] = total + res.coloring.color_of[local]
         total += res.count

@@ -8,18 +8,24 @@ constructors, never stored.
 Index algebra is fixed so tests can reason about it:
   * product vertices: (i1, i2) -> i1 * n2 + i2 (lexicographic),
   * union vertices:   block offsets, component a starts at offsets[a].
+
+Budgets live in one scope: `with Budget(nodes=..., vertices=...):` sets the
+limits for the block and restores the enclosing ones on exit, also on an
+exception.  No function takes a budget argument; solvers and product
+constructors read `Budget.current()` when they start.  The scope is a
+ContextVar, so a new thread starts at `Budget()` whatever its parent entered.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
 WEIGHT_TOL = 1e-9
-DEFAULT_VERTEX_BUDGET = 1 << 16
 
 
 class ZeroErrError(Exception):
@@ -32,6 +38,31 @@ class BudgetExceeded(ZeroErrError):
 
 class Undecided(ZeroErrError):
     """A decision procedure ran out of search budget before deciding."""
+
+
+@dataclass(frozen=True)
+class Budget:
+    """Limits, not a running total: `nodes` for each branch-and-bound solve and
+    `vertices` for each AND product.  The active scopes are kept outside the
+    instance, so an instance may be entered again while it is active."""
+
+    nodes: int = 5_000_000
+    vertices: int = 1 << 16
+
+    def __enter__(self) -> Budget:
+        _SCOPES.set(_SCOPES.get() + (self,))
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _SCOPES.set(_SCOPES.get()[:-1])
+
+    @staticmethod
+    def current() -> Budget:
+        """The innermost active budget; `Budget()` outside every scope."""
+        return _SCOPES.get()[-1]
+
+
+_SCOPES = ContextVar("zeroerr_budget", default=(Budget(),))
 
 
 def popcount(x: int) -> int:
@@ -291,12 +322,13 @@ def characteristic_graph(channel: ChannelSpec) -> Graph:
     return Graph(channel.x_count, tuple(rows))
 
 
-def and_product_graph(g1: Graph, g2: Graph, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
+def and_product_graph(g1: Graph, g2: Graph) -> Graph:
     """AND (strong) product.  Distinct (u1,u2), (v1,v2) are adjacent iff
     u1 equals-or-adjacent v1 and u2 equals-or-adjacent v2."""
     n = g1.n * g2.n
-    if n > vertex_budget:
-        raise BudgetExceeded(f"product too large: {n} > {vertex_budget} vertices")
+    limit = Budget.current().vertices
+    if n > limit:
+        raise BudgetExceeded(f"product too large: {n} > {limit} vertices")
     c1, c2 = g1.closed_rows, g2.closed_rows
     rows = []
     for i1 in range(g1.n):
@@ -309,28 +341,27 @@ def and_product_graph(g1: Graph, g2: Graph, vertex_budget: int = DEFAULT_VERTEX_
     return Graph(n, tuple(rows))
 
 
-def and_product(pg1: ProbabilisticGraph, pg2: ProbabilisticGraph,
-                vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> ProbabilisticGraph:
-    g = and_product_graph(pg1.graph, pg2.graph, vertex_budget)
+def and_product(pg1: ProbabilisticGraph, pg2: ProbabilisticGraph) -> ProbabilisticGraph:
+    g = and_product_graph(pg1.graph, pg2.graph)
     return ProbabilisticGraph(g, pg1.dist.product(pg2.dist))
 
 
-def and_power_graph(g: Graph, n: int, vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> Graph:
+def and_power_graph(g: Graph, n: int) -> Graph:
     """G^n, each power the previous one times G (vertex = base-|V| digits)."""
     if n < 1:
         raise ValueError("power must be >= 1")
-    if g.n ** n > vertex_budget:
-        raise BudgetExceeded(f"product too large: {g.n}^{n} > {vertex_budget} vertices")
+    limit = Budget.current().vertices
+    if g.n ** n > limit:
+        raise BudgetExceeded(f"product too large: {g.n}^{n} > {limit} vertices")
     out = g
     for _ in range(n - 1):
-        out = and_product_graph(out, g, vertex_budget)
+        out = and_product_graph(out, g)
     return out
 
 
-def and_power(pg: ProbabilisticGraph, n: int,
-              vertex_budget: int = DEFAULT_VERTEX_BUDGET) -> ProbabilisticGraph:
+def and_power(pg: ProbabilisticGraph, n: int) -> ProbabilisticGraph:
     """(G^n, P^n)."""
-    g = and_power_graph(pg.graph, n, vertex_budget)
+    g = and_power_graph(pg.graph, n)
     dist = pg.dist
     for _ in range(n - 1):
         dist = dist.product(pg.dist)

@@ -29,11 +29,13 @@ class SplitMix64:
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n) by rejection (unbiased)."""
+        """Uniform integer in [0, n) by rejection (unbiased), drawn from as
+        many 64-bit words as n - 1 needs, at least one."""
         if n <= 0:
             raise ValueError("empty range")
-        limit = (1 << 64) - ((1 << 64) % n)
         while True:
-            x = self.next_u64()
-            if x < limit:
+            x, span = self.next_u64(), 1 << 64
+            while span < n:
+                x, span = (x << 64) | self.next_u64(), span << 64
+            if x < span - span % n:
                 return x % n

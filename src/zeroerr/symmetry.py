@@ -21,8 +21,12 @@ from .graphs import (
     popcount,
 )
 
+# Not the `graphs.Budget` scope: the theta certificate of `bounds` would
+# otherwise move with --node-budget.
 DEFAULT_NODE_BUDGET = 10_000_000
-DEFAULT_ISO_VERTEX_BUDGET = 64
+ISO_VERTEX_LIMIT = 64
+TRANSITIVITY_VERTEX_LIMIT = 32
+PERFECT_VERTEX_LIMIT = 14
 
 
 def _weight_classes(weights1, weights2, tol=1e-9):
@@ -163,8 +167,7 @@ def _degree_colors(g: Graph):
     return [idx[g.degree(v)] for v in range(g.n)]
 
 
-def is_isomorphic(pg1: ProbabilisticGraph, pg2: ProbabilisticGraph,
-                  vertex_budget: int = DEFAULT_ISO_VERTEX_BUDGET):
+def is_isomorphic(pg1: ProbabilisticGraph, pg2: ProbabilisticGraph):
     """Weight-preserving isomorphism between probabilistic graphs.
 
     Returns the vertex bijection (image of each pg1 vertex) or None.
@@ -173,7 +176,7 @@ def is_isomorphic(pg1: ProbabilisticGraph, pg2: ProbabilisticGraph,
     g1, g2 = pg1.graph, pg2.graph
     if g1.n != g2.n:
         return None
-    if g1.n > vertex_budget:
+    if g1.n > ISO_VERTEX_LIMIT:
         raise Undecided("undecided (budget): graph too large for isomorphism search")
     if g1.edge_count() != g2.edge_count():
         return None
@@ -203,9 +206,9 @@ def find_automorphism(g: Graph, forced):
     return _IsoSearch(g, g, colors, colors).run(forced)
 
 
-def is_vertex_transitive(g: Graph, vertex_budget: int = 32) -> bool:
+def is_vertex_transitive(g: Graph) -> bool:
     """True iff some automorphism maps vertex 0 to every other vertex."""
-    if g.n > vertex_budget:
+    if g.n > TRANSITIVITY_VERTEX_LIMIT:
         raise Undecided("undecided (budget): graph too large for transitivity search")
     if g.n <= 1:
         return True
@@ -215,9 +218,9 @@ def is_vertex_transitive(g: Graph, vertex_budget: int = 32) -> bool:
                for v in range(1, g.n))
 
 
-def is_edge_transitive(g: Graph, vertex_budget: int = 32) -> bool:
+def is_edge_transitive(g: Graph) -> bool:
     """True iff the automorphism group is transitive on unordered edges."""
-    if g.n > vertex_budget:
+    if g.n > TRANSITIVITY_VERTEX_LIMIT:
         raise Undecided("undecided (budget): graph too large for transitivity search")
     edges = g.edges()
     if len(edges) <= 1:
@@ -270,14 +273,14 @@ def find_odd_hole(g: Graph):
     return None
 
 
-def is_perfect(g: Graph, vertex_budget: int = 14):
+def is_perfect(g: Graph):
     """Perfectness test: no induced odd hole in g or its complement.
 
     Returns (True, None, False) or (False, witness_hole, in_complement).
     """
-    if g.n > vertex_budget:
+    if g.n > PERFECT_VERTEX_LIMIT:
         raise Undecided("undecided (budget): perfectness search limited "
-                        f"to {vertex_budget} vertices")
+                        f"to {PERFECT_VERTEX_LIMIT} vertices")
     hole = find_odd_hole(g)
     if hole is not None:
         return False, hole, False

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .graphs import (
     BudgetExceeded,
-    DEFAULT_VERTEX_BUDGET,
     Distribution,
     Graph,
     ProbabilisticGraph,
@@ -24,7 +23,7 @@ from .graphs import (
 )
 from .rng import SplitMix64
 
-ENUM_BUDGET = 1 << 24
+ENUM_LIMIT = 1 << 24  # most typical sequences `members` materializes
 
 
 @dataclass(frozen=True)
@@ -121,9 +120,9 @@ class TypicalSet:
             total += math.factorial(self.n) // math.prod(math.factorial(c) for c in counts)
         return total
 
-    def members(self, budget: int = ENUM_BUDGET):
+    def members(self):
         """Materialize all members, sorted lexicographically."""
-        if self.cardinality() > budget:
+        if self.cardinality() > ENUM_LIMIT:
             raise BudgetExceeded("typical set too large to enumerate eagerly")
         out = []
         for counts in self._valid_types():
@@ -169,8 +168,7 @@ def index_sequence(idx: int, alphabet_size: int, n: int):
     return tuple(out)
 
 
-def typical_induced_subgraph(pg: ProbabilisticGraph, n: int, eps: float,
-                             vertex_budget: int = DEFAULT_VERTEX_BUDGET):
+def typical_induced_subgraph(pg: ProbabilisticGraph, n: int, eps: float):
     """Power graph induced on the typical set, distribution renormalized.
 
     Returns (induced probabilistic graph, list of member sequences).
@@ -179,7 +177,7 @@ def typical_induced_subgraph(pg: ProbabilisticGraph, n: int, eps: float,
     members = ts.members()
     if not members:
         raise ValueError(f"typical set is empty at n={n}, eps={eps}")
-    power = and_power(pg, n, vertex_budget)
+    power = and_power(pg, n)
     keep = [sequence_index(seq, pg.n) for seq in members]
     return induced_subgraph(power, keep, renormalize=True), members
 
@@ -255,8 +253,7 @@ def type_split(seq, beta, p1: Distribution, p2: Distribution,
 # eta: union entropy through the product-of-powers identity
 
 
-def eta_bounds(parts, p_a, max_n: int = 1, vertex_budget: int = DEFAULT_VERTEX_BUDGET,
-               **bound_kwargs):
+def eta_bounds(parts, p_a, max_n: int = 1, **bound_kwargs):
     """Certified interval for eta(P_A) = Hbar of the P_A-weighted disjoint
     union, evaluated as (1/k) * hbar interval of the product of k*P_A(a)-th
     powers; P_A must be a type with denominator k.
@@ -280,9 +277,9 @@ def eta_bounds(parts, p_a, max_n: int = 1, vertex_budget: int = DEFAULT_VERTEX_B
         reps = int(w * k)
         if reps == 0:
             continue
-        block = and_power(pg, reps, vertex_budget)
-        product = block if product is None else and_product(product, block, vertex_budget)
+        block = and_power(pg, reps)
+        product = block if product is None else and_product(product, block)
     if product is None:
         raise ValueError("P_A has empty support")
-    inner = hbar_bounds(product, max_n=max_n, vertex_budget=vertex_budget, **bound_kwargs)
+    inner = hbar_bounds(product, max_n=max_n, **bound_kwargs)
     return scale_interval(inner, 1.0 / k, f"eta_scaled(k={k})"), product, k

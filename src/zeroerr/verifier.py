@@ -31,7 +31,7 @@ from .graphs import (
     path,
     uniform_pgraph,
 )
-from .combin import Budget, alpha_exact, clique_cover_number, min_entropy_coloring
+from .combin import alpha_exact, clique_cover_number, min_entropy_coloring
 from .numopt import (
     capacity_achieving_distribution,
     korner_entropy,
@@ -66,9 +66,6 @@ HALF_LOG2_5 = 0.5 * LOG2_5
 class VerifyConfig:
     seed: int = 2024
     trials: int = 2000
-    budget: Budget = Budget()
-    vertex_budget: int = 1 << 16
-    tol: float = 1e-6
     korner_tol: float = 1e-11
     haemers_matrix: object = None   # optional user FiniteFieldMatrix for S-bar
     tags: tuple = ()
@@ -160,12 +157,12 @@ def typewriter_channel(k: int) -> ChannelSpec:
 def _sc_pentagon(cfg):
     c5 = cycle(5)
     checks = []
-    a2 = alpha_exact(and_product_graph(c5, c5), cfg.budget)
+    a2 = alpha_exact(and_product_graph(c5, c5))
     _require_exact(a2.exact, "alpha of the pentagon square")
     checks.append(Check("alpha(C5^2)=5", a2.size == 5, a2.size, 5, 0))
     th = theta_transitive(c5)
     checks.append(_close("theta(C5)=sqrt5", th, math.sqrt(5.0), 1e-6))
-    iv = c0_bounds(c5, max_n=2, budget=cfg.budget)
+    iv = c0_bounds(c5, max_n=2)
     checks.append(_close("c0(C5) lo", iv.lo, HALF_LOG2_5, 1e-6))
     checks.append(_close("c0(C5) hi", iv.hi, HALF_LOG2_5, 1e-6))
     checks.append(_leq("c0(C5) width", iv.width, 1e-6))
@@ -185,8 +182,7 @@ def _sc_full_support(cfg):
                     g.edge_count() == 6, g.edge_count(), 6, 0)]
     hchi = min_entropy_coloring(ProbabilisticGraph(g, p))
     checks.append(_close("H_chi(K4,P)=H(P)", hchi.value, p.entropy(), 1e-9))
-    iv = hbar_bounds(ProbabilisticGraph(g, p), max_n=1, budget=cfg.budget,
-                     korner_tol=cfg.korner_tol)
+    iv = hbar_bounds(ProbabilisticGraph(g, p), max_n=1, korner_tol=cfg.korner_tol)
     checks.append(_close("hbar(K4,P) lo=H(P)", iv.lo, p.entropy(), 1e-6))
     checks.append(_close("hbar(K4,P) hi=H(P)", iv.hi, p.entropy(), 1e-6))
     return checks
@@ -196,7 +192,7 @@ def _sc_si_operational(cfg):
     chan = typewriter_channel(5)
     p = Distribution.uniform(5)
     n, eps = 2, 0.3
-    code = build_si_code(chan, p, n, eps, cfg.budget)
+    code = build_si_code(chan, p, n, eps)
     rng = SplitMix64(cfg.seed ^ 0x22)
     rows = {x: chan.outputs_of(x) for x in range(5)}
     bits_used = 0
@@ -244,7 +240,7 @@ def _sc_perfect_family(cfg):
     pa = Distribution((f(1, 2), f(1, 4), f(1, 4)))
     kappas = [korner_entropy(pg, cfg.korner_tol).value for pg in parts]
     union, _ = disjoint_union(parts, pa)
-    iv = hbar_bounds(union, max_n=1, budget=cfg.budget, korner_tol=cfg.korner_tol)
+    iv = hbar_bounds(union, max_n=1, korner_tol=cfg.korner_tol)
     target_union = sum(float(pa[a]) * kappas[a] for a in range(3))
     checks = [
         _close("hbar(union) = sum P_A H_kappa", iv.midpoint, target_union, 1e-6),
@@ -253,7 +249,7 @@ def _sc_perfect_family(cfg):
     prod = and_product(parts[0], parts[1])
     ok, _, _ = is_perfect(prod.graph)
     checks.append(_true("product of this perfect pair is perfect", ok))
-    ivp = hbar_bounds(prod, max_n=1, budget=cfg.budget, korner_tol=cfg.korner_tol)
+    ivp = hbar_bounds(prod, max_n=1, korner_tol=cfg.korner_tol)
     checks.append(_close("hbar(product) = sum H_kappa", ivp.midpoint,
                          kappas[0] + kappas[1], 1e-6))
     checks.append(_leq("hbar(product) width", ivp.width, 1e-6))
@@ -274,8 +270,7 @@ def _sc_subfamily_closure(cfg):
         for j in range(i + 1, 3):
             pa = Distribution((f(1, 3), f(2, 3)))
             union, _ = disjoint_union([parts[i], parts[j]], pa)
-            iv = hbar_bounds(union, max_n=1, budget=cfg.budget,
-                             korner_tol=cfg.korner_tol)
+            iv = hbar_bounds(union, max_n=1, korner_tol=cfg.korner_tol)
             target = float(pa[0]) * kappas[i] + float(pa[1]) * kappas[j]
             checks.append(_close(f"subfamily ({i},{j}) union linearizes",
                                  iv.midpoint, target, 1e-6))
@@ -288,16 +283,16 @@ def _sc_alpha_superadditive(cfg):
     for k in range(6):
         g1 = random_graph(rng, 4 + rng.randrange(3), 0.4)
         g2 = random_graph(rng, 4 + rng.randrange(3), 0.4)
-        a1 = alpha_exact(g1, cfg.budget)
-        a2 = alpha_exact(g2, cfg.budget)
-        ap = alpha_exact(and_product_graph(g1, g2), cfg.budget)
+        a1 = alpha_exact(g1)
+        a2 = alpha_exact(g2)
+        ap = alpha_exact(and_product_graph(g1, g2))
         _require_exact(a1.exact and a2.exact and ap.exact, "alpha on sampled pair")
         checks.append(Check(f"alpha supermultiplicative #{k}",
                             ap.size >= a1.size * a2.size,
                             ap.size, a1.size * a2.size, 0))
     c5 = cycle(5)
-    lo1 = math.log2(alpha_exact(c5, cfg.budget).size)
-    lo2 = math.log2(alpha_exact(and_product_graph(c5, c5), cfg.budget).size) / 2
+    lo1 = math.log2(alpha_exact(c5).size)
+    lo2 = math.log2(alpha_exact(and_product_graph(c5, c5)).size) / 2
     checks.append(_leq("pentagon level-2 certificate refines level-1", lo1, lo2))
     return checks
 
@@ -305,15 +300,15 @@ def _sc_alpha_superadditive(cfg):
 def _sc_schrijver_union(cfg):
     # perfect case of the C0 union linearization: both sides collapse exactly
     g1, g2 = cycle(6), path(4)
-    a1 = alpha_exact(g1, cfg.budget).size
-    a2 = alpha_exact(g2, cfg.budget).size
+    a1 = alpha_exact(g1).size
+    a2 = alpha_exact(g2).size
     union, _ = disjoint_union([uniform_pgraph(g1), uniform_pgraph(g2)],
                               Distribution((Fraction(1, 2), Fraction(1, 2))))
-    au = alpha_exact(union.graph, cfg.budget)
+    au = alpha_exact(union.graph)
     _require_exact(au.exact, "alpha of the union")
-    iv1 = c0_bounds(g1, budget=cfg.budget)
-    iv2 = c0_bounds(g2, budget=cfg.budget)
-    ivu = c0_bounds(union.graph, budget=cfg.budget)
+    iv1 = c0_bounds(g1)
+    iv2 = c0_bounds(g2)
+    ivu = c0_bounds(union.graph)
     target = math.log2(2.0 ** iv1.midpoint + 2.0 ** iv2.midpoint)
     return [
         Check("alpha additive over union", au.size == a1 + a2, au.size, a1 + a2, 0),
@@ -329,12 +324,11 @@ def _sc_marton(cfg):
         g = sample_perfect_graph(rng, 3, 8)
         p = random_distribution(rng, g.n)
         pg = ProbabilisticGraph(g, p)
-        hbar = hbar_bounds(pg, budget=cfg.budget, korner_tol=cfg.korner_tol)
-        crel = c_rel_bounds(pg, budget=cfg.budget, korner_tol=cfg.korner_tol)
+        hbar = hbar_bounds(pg, korner_tol=cfg.korner_tol)
+        crel = c_rel_bounds(pg, korner_tol=cfg.korner_tol)
         checks.append(_close(f"marton identity on perfect sample #{k}",
                              hbar.midpoint + crel.midpoint, p.entropy(), 1e-6))
-    crel5 = c_rel_bounds(uniform_pgraph(cycle(5)), max_n=2, budget=cfg.budget,
-                         korner_tol=cfg.korner_tol)
+    crel5 = c_rel_bounds(uniform_pgraph(cycle(5)), max_n=2, korner_tol=cfg.korner_tol)
     checks.append(_close("C(C5,U) = half log 5 (pentagon, non-perfect)",
                          crel5.midpoint, HALF_LOG2_5, 1e-6))
     checks.append(_leq("C(C5,U) width", crel5.width, 1e-6))
@@ -401,12 +395,12 @@ def _sc_union_capacity_split(cfg):
     # optimal mixture over a perfect union: C(union, P*) = log sum 2^C0a with
     # P*_A = 2^C0a / sum and capacity-achieving component distributions
     g1, g2 = cycle(6), complete(2)
-    c01 = c0_bounds(g1, budget=cfg.budget)
-    c02 = c0_bounds(g2, budget=cfg.budget)
+    c01 = c0_bounds(g1)
+    c02 = c0_bounds(g2)
     pa, value = sum_channel_weights([c01.midpoint, c02.midpoint])
     union, _ = disjoint_union(
         [uniform_pgraph(g1), uniform_pgraph(g2)], pa)
-    crel = c_rel_bounds(union, budget=cfg.budget, korner_tol=cfg.korner_tol)
+    crel = c_rel_bounds(union, korner_tol=cfg.korner_tol)
     return [
         _close("P*_A(0) = 3/4", float(pa[0]), 0.75, 1e-12),
         _close("C(union,P*) = log(2^c0+2^c0')", crel.midpoint, value, 1e-6),
@@ -421,10 +415,10 @@ def _sc_perfect_collapse(cfg):
         g = sample_perfect_graph(rng, 3, 9)
         p = random_distribution(rng, g.n)
         pg = ProbabilisticGraph(g, p)
-        hbar = hbar_bounds(pg, budget=cfg.budget, korner_tol=cfg.korner_tol)
+        hbar = hbar_bounds(pg, korner_tol=cfg.korner_tol)
         kap = korner_entropy(pg, cfg.korner_tol).value
-        c0 = c0_bounds(g, budget=cfg.budget)
-        a = alpha_exact(g, cfg.budget)
+        c0 = c0_bounds(g)
+        a = alpha_exact(g)
         _require_exact(a.exact, "alpha on a perfect sample")
         checks.append(_leq(f"hbar width #{k}", hbar.width, 1e-6))
         checks.append(_close(f"hbar midpoint = H_kappa #{k}", hbar.midpoint, kap, 1e-6))
@@ -437,13 +431,13 @@ def _sc_perfect_collapse(cfg):
 def _sc_c6c8(cfg):
     c6, c8 = cycle(6), cycle(8)
     prod = and_product_graph(c6, c8)
-    a6 = alpha_exact(c6, cfg.budget).size
-    a8 = alpha_exact(c8, cfg.budget).size
-    ap = alpha_exact(prod, cfg.budget)
+    a6 = alpha_exact(c6).size
+    a8 = alpha_exact(c8).size
+    ap = alpha_exact(prod)
     _require_exact(ap.exact, "alpha(C6 x C8)")
     union, _ = disjoint_union([uniform_pgraph(c6), uniform_pgraph(c8)],
                               Distribution((Fraction(1, 2), Fraction(1, 2))))
-    au = alpha_exact(union.graph, cfg.budget)
+    au = alpha_exact(union.graph)
     checks = [
         Check("alpha(C6^C8) = alpha(C6) alpha(C8)", ap.size == a6 * a8 == 12,
               ap.size, 12, 0),
@@ -460,12 +454,12 @@ def _sc_c6c8(cfg):
                         and hole is not None and len(hole) == 7,
                         len(hole) if hole else 0, 7, 0))
     # C0 linearization over the perfect factors
-    iv = c0_bounds(prod, budget=cfg.budget, factors=[c6, c8])
+    iv = c0_bounds(prod, factors=[c6, c8])
     checks.append(_close("c0(C6^C8) = log 12", iv.midpoint, math.log2(12), 1e-9))
     checks.append(_leq("c0(C6^C8) width", iv.width, 1e-9))
     # Hbar of the product at uniform: equals H_kappa(C6)+H_kappa(C8) = 2 bits
     pgp = and_product(uniform_pgraph(c6), uniform_pgraph(c8))
-    hbar = hbar_bounds(pgp, budget=cfg.budget, korner_tol=cfg.korner_tol,
+    hbar = hbar_bounds(pgp, korner_tol=cfg.korner_tol,
                        factors=[c6, c8])
     k6 = korner_entropy(uniform_pgraph(c6), cfg.korner_tol).value
     k8 = korner_entropy(uniform_pgraph(c8), cfg.korner_tol).value
@@ -485,14 +479,14 @@ def _sc_c5_with_perfect(cfg):
     union, _ = disjoint_union([c5u, uniform_pgraph(g)],
                               Distribution((Fraction(1, 2), Fraction(1, 2))))
     target_union = s * HALF_LOG2_5 + (1 - s) * kg
-    iv = hbar_bounds(union, max_n=1, budget=cfg.budget, korner_tol=cfg.korner_tol)
+    iv = hbar_bounds(union, max_n=1, korner_tol=cfg.korner_tol)
     checks = [
         _leq("hbar(C5 u G) lo <= s/2 log5 + (1-s) H_kappa", iv.lo, target_union),
         _leq("hbar(C5 u G) hi >= target", target_union, iv.hi),
     ]
     prod = and_product(uniform_pgraph(g), c5u)
     target_prod = kg + HALF_LOG2_5
-    ivp = hbar_bounds(prod, max_n=1, budget=cfg.budget, korner_tol=cfg.korner_tol,
+    ivp = hbar_bounds(prod, max_n=1, korner_tol=cfg.korner_tol,
                       factors=[g, cycle(5)])
     checks.append(_leq("hbar(G ^ C5) lo <= H_kappa + half log 5", ivp.lo, target_prod))
     checks.append(_leq("hbar(G ^ C5) hi >= target", target_prod, ivp.hi))
@@ -506,8 +500,8 @@ def _sc_schlafli(cfg):
         Check("SRG(27,16,10,8)", srg_parameters(s) == (27, 16, 10, 8),
               str(srg_parameters(s)), "(27, 16, 10, 8)", 0),
     ]
-    a_s = alpha_exact(s, cfg.budget)
-    a_sb = alpha_exact(sbar, cfg.budget)
+    a_s = alpha_exact(s)
+    a_sb = alpha_exact(sbar)
     _require_exact(a_s.exact and a_sb.exact, "alpha of the Schlafli pair")
     checks.append(Check("alpha(S)=3", a_s.size == 3, a_s.size, 3, 0))
     checks.append(Check("alpha(S-bar)=6", a_sb.size == 6, a_sb.size, 6, 0))
@@ -525,7 +519,7 @@ def _sc_schlafli(cfg):
     th_sb = theta_transitive(sbar)
     checks.append(_close("theta(S)=3", th_s, 3.0, 1e-6))
     checks.append(_close("theta(S-bar)=9", th_sb, 9.0, 1e-6))
-    iv_s = c0_bounds(s, budget=cfg.budget)
+    iv_s = c0_bounds(s)
     checks.append(_close("c0(S) = log 3", iv_s.midpoint, math.log2(3), 1e-6))
     checks.append(_leq("c0(S) width", iv_s.width, 1e-6))
     if cfg.haemers_matrix is not None:
@@ -555,8 +549,7 @@ def _sc_vertex_transitive(cfg):
     ]
     # Schlafli: C(S, U) pins C0(S) through the pipelines
     s = catalog_get("schlafli")
-    crel = c_rel_bounds(uniform_pgraph(s), budget=cfg.budget,
-                        korner_tol=cfg.korner_tol)
+    crel = c_rel_bounds(uniform_pgraph(s), korner_tol=cfg.korner_tol)
     checks.append(_close("C(S,U) = log 3", crel.midpoint, math.log2(3), 1e-3))
     checks.append(_leq("C(S,U) width", crel.width, 1e-3))
     return checks
@@ -696,8 +689,8 @@ def _sc_marton_union(cfg):
                                             Distribution.uniform(n)))
         pa = Distribution((f(1, 3), f(2, 3)))
         union, _ = disjoint_union(parts, pa)
-        hbar = hbar_bounds(union, budget=cfg.budget, korner_tol=cfg.korner_tol)
-        crel = c_rel_bounds(union, budget=cfg.budget, korner_tol=cfg.korner_tol)
+        hbar = hbar_bounds(union, korner_tol=cfg.korner_tol)
+        crel = c_rel_bounds(union, korner_tol=cfg.korner_tol)
         target = pa.entropy() + sum(float(pa[a]) * parts[a].dist.entropy()
                                     for a in range(2))
         ok = (hbar.lo + crel.lo <= target + 1e-9) and (target <= hbar.hi + crel.hi + 1e-9)
@@ -710,7 +703,7 @@ def _sc_eta(cfg):
     f = Fraction
     k2u = uniform_pgraph(complete(2))
     iv, prod, k = eta_bounds([k2u, k2u], Distribution((f(1, 2), f(1, 2))),
-                             budget=cfg.budget, korner_tol=cfg.korner_tol)
+                             korner_tol=cfg.korner_tol)
     checks = [
         _close("eta(K2,K2;1/2) = 1 bit", iv.midpoint, 1.0, 1e-9),
         _leq("eta width", iv.width, 1e-9),
@@ -719,7 +712,7 @@ def _sc_eta(cfg):
     parts = [_pg(complete(2), (f(1, 3), f(2, 3))), _pg(empty(2), (f(1, 4), f(3, 4)))]
     pa = Distribution((f(2, 3), f(1, 3)))
     kappas = [korner_entropy(p, cfg.korner_tol).value for p in parts]
-    iv, prod, k = eta_bounds(parts, pa, budget=cfg.budget, korner_tol=cfg.korner_tol)
+    iv, prod, k = eta_bounds(parts, pa, korner_tol=cfg.korner_tol)
     target = sum(float(pa[a]) * kappas[a] for a in range(2))
     ok_perfect, _, _ = is_perfect(prod.graph)
     checks.append(_true("product of powers is perfect", ok_perfect))
@@ -729,10 +722,10 @@ def _sc_eta(cfg):
     # general family with the pentagon: containment only
     parts = [uniform_pgraph(cycle(5)), _pg(complete(2), (f(1, 2), f(1, 2)))]
     pa = Distribution((f(1, 2), f(1, 2)))
-    iv, prod, k = eta_bounds(parts, pa, budget=cfg.budget, korner_tol=cfg.korner_tol)
+    iv, prod, k = eta_bounds(parts, pa, korner_tol=cfg.korner_tol)
     upper = sum(float(pa[a]) * korner_entropy(parts[a], cfg.korner_tol).value
                 for a in range(2))
-    cover_sum = sum(clique_cover_number(p.graph, cfg.budget).count for p in parts)
+    cover_sum = sum(clique_cover_number(p.graph).count for p in parts)
     h_mix = pa.entropy() + sum(float(pa[a]) * parts[a].dist.entropy() for a in range(2))
     lower = h_mix - math.log2(cover_sum)
     checks.append(_leq("eta lo below single-letter upper", iv.lo, upper))
@@ -748,13 +741,11 @@ def _sc_witsenhausen(cfg):
         n = 3 + rng.randrange(4)
         g = random_graph(rng, n, 0.5)
         p = random_distribution(rng, n)
-        hbar = hbar_bounds(ProbabilisticGraph(g, p), budget=cfg.budget,
-                           korner_tol=cfg.korner_tol)
-        h0 = h0_bounds(g, budget=cfg.budget)
+        hbar = hbar_bounds(ProbabilisticGraph(g, p), korner_tol=cfg.korner_tol)
+        h0 = h0_bounds(g)
         checks.append(_leq(f"hbar hi <= h0 hi #{k}", hbar.hi, h0.hi))
-    h0c5 = h0_bounds(cycle(5), max_n=2, budget=cfg.budget)
-    hbarc5 = hbar_bounds(uniform_pgraph(cycle(5)), max_n=2, budget=cfg.budget,
-                         korner_tol=cfg.korner_tol)
+    h0c5 = h0_bounds(cycle(5), max_n=2)
+    hbarc5 = hbar_bounds(uniform_pgraph(cycle(5)), max_n=2, korner_tol=cfg.korner_tol)
     checks.append(_leq("pentagon: hbar(U) hi <= h0 hi", hbarc5.hi, h0c5.hi))
     checks.append(_close("h0(C5) hi = half log 5 at n=2", h0c5.hi, HALF_LOG2_5, 1e-9))
     return checks
@@ -762,7 +753,7 @@ def _sc_witsenhausen(cfg):
 
 def _sc_codec_channel(cfg):
     chan = typewriter_channel(5)
-    book = build_channel_code(chan, 2, "exact", cfg.budget)
+    book = build_channel_code(chan, 2, "exact")
     checks = [
         Check("pentagon book has 5 codewords", len(book.codewords) == 5,
               len(book.codewords), 5, 0),
@@ -785,7 +776,7 @@ def _sc_codec_partial(cfg):
     g_map = (0, 0, 1, 1)
     joint = tuple((x, y, 0.125 if y < 2 else 0.25) for x, y in sorted(support))
     spec = PartialSideInfoSpec(chan, g_map, joint)
-    code = build_partial_si_code(spec, 6, 0.5, cfg.budget)
+    code = build_partial_si_code(spec, 6, 0.5)
     trials = max(200, cfg.trials // 5)
     errors, bits_total = partial_si_roundtrip(code, trials, cfg.seed ^ 0xDD)
     rate = bits_total / (6 * trials)
@@ -804,7 +795,7 @@ def _sc_codec_partial(cfg):
 
 def _sc_codec_sum(cfg):
     id1 = ChannelSpec(1, 1, frozenset({(0, 0)}))
-    b1 = build_channel_code(id1, 1, "exact", cfg.budget)
+    b1 = build_channel_code(id1, 1, "exact")
     sc = build_sum_channel_code([id1, id1], [b1, b1], (2, 2))
     checks = [
         _close("pure index information rate", sc.rate(),
@@ -813,8 +804,8 @@ def _sc_codec_sum(cfg):
     # 3- and 7-word books at the optimal composition for n = 10
     ch3 = ChannelSpec(3, 3, frozenset((x, x) for x in range(3)))
     ch7 = ChannelSpec(7, 7, frozenset((x, x) for x in range(7)))
-    b3 = build_channel_code(ch3, 1, "exact", cfg.budget)
-    b7 = build_channel_code(ch7, 1, "exact", cfg.budget)
+    b3 = build_channel_code(ch3, 1, "exact")
+    b7 = build_channel_code(ch7, 1, "exact")
     sc2 = build_sum_channel_code([ch3, ch7], [b3, b7], (3, 7))
     direct = math.comb(10, 3) * (3 ** 3) * (7 ** 7)
     checks.append(Check("message count matches direct count",

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 
 from zeroerr.graphs import (
+    Budget,
     ChannelSpec,
     Distribution,
     ProbabilisticGraph,
@@ -27,7 +28,7 @@ from zeroerr.graphs import (
     induced_subgraph_graph,
     uniform_pgraph,
 )
-from zeroerr.combin import Budget, alpha_exact, min_entropy_coloring
+from zeroerr.combin import alpha_exact, min_entropy_coloring
 from zeroerr.numopt import (
     capacity_achieving_distribution,
     korner_entropy,
@@ -403,13 +404,14 @@ def test_criterion_11_bound_pipeline_soundness():
     for g in corpus:
         p = random_distribution(rng, g.n)
         pg = ProbabilisticGraph(g, p)
-        c01 = c0_bounds(g, max_n=1, budget=budget)
-        c02 = c0_bounds(g, max_n=2, budget=budget)
-        h01 = h0_bounds(g, max_n=1, budget=budget)
-        h02 = h0_bounds(g, max_n=2, budget=budget)
-        hb1 = hbar_bounds(pg, max_n=1, budget=budget)
-        hb2 = hbar_bounds(pg, max_n=2, budget=budget)
-        cr1 = c_rel_bounds(pg, max_n=1, budget=budget)
+        with budget:
+            c01 = c0_bounds(g, max_n=1)
+            c02 = c0_bounds(g, max_n=2)
+            h01 = h0_bounds(g, max_n=1)
+            h02 = h0_bounds(g, max_n=2)
+            hb1 = hbar_bounds(pg, max_n=1)
+            hb2 = hbar_bounds(pg, max_n=2)
+            cr1 = c_rel_bounds(pg, max_n=1)
         for iv in (c01, c02, h01, h02, hb1, hb2, cr1):
             assert iv.lo <= iv.hi + 1e-9
         # monotone refinement

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from zeroerr.graphs import (
+    Budget,
     Distribution,
     ProbabilisticGraph,
     and_product,
@@ -26,7 +27,6 @@ from zeroerr.bounds import (
     hbar_bounds,
     typical_alpha_estimate,
 )
-from zeroerr.combin import Budget
 from zeroerr.numopt import korner_entropy
 from zeroerr.graphs import ZeroErrError
 from zeroerr.rng import SplitMix64
@@ -139,22 +139,26 @@ def test_soundness_and_monotone_refinement():
     # node-bounded budget: deterministic cuts keep refinement reproducible
     budget = Budget(nodes=100_000)
     for g in _corpus(rng):
-        iv1 = c0_bounds(g, max_n=1, budget=budget)
-        iv2 = c0_bounds(g, max_n=2, budget=budget)
+        with budget:
+            iv1 = c0_bounds(g, max_n=1)
+            iv2 = c0_bounds(g, max_n=2)
         assert iv1.lo <= iv1.hi + 1e-9 and iv2.lo <= iv2.hi + 1e-9
         assert iv2.lo >= iv1.lo - 1e-12 and iv2.hi <= iv1.hi + 1e-12
-        h1 = h0_bounds(g, max_n=1, budget=budget)
-        h2 = h0_bounds(g, max_n=2, budget=budget)
+        with budget:
+            h1 = h0_bounds(g, max_n=1)
+            h2 = h0_bounds(g, max_n=2)
         assert h1.lo <= h1.hi + 1e-9 and h2.lo <= h2.hi + 1e-9
         assert h2.hi <= h1.hi + 1e-12
         p = random_distribution(rng, g.n)
         pg = ProbabilisticGraph(g, p)
-        b1 = hbar_bounds(pg, max_n=1, budget=budget)
-        b2 = hbar_bounds(pg, max_n=2, budget=budget)
+        with budget:
+            b1 = hbar_bounds(pg, max_n=1)
+            b2 = hbar_bounds(pg, max_n=2)
         assert b1.lo <= b1.hi + 1e-9 and b2.lo <= b2.hi + 1e-9
         assert b2.lo >= b1.lo - 1e-12 and b2.hi <= b1.hi + 1e-12
         # Marton reflection is exact by construction; verify numerically
-        c1 = c_rel_bounds(pg, max_n=1, budget=budget)
+        with budget:
+            c1 = c_rel_bounds(pg, max_n=1)
         assert c1.lo == pytest.approx(max(0.0, p.entropy() - b1.hi), abs=1e-12)
         assert c1.hi == pytest.approx(p.entropy() - b1.lo, abs=1e-12)
         # the variable-length upper certificate never exceeds the fixed-length one
@@ -200,9 +204,9 @@ def test_union_capacity_lower_bound():
 
 
 def test_budget_starved_still_sound():
-    tiny = Budget(nodes=2)
     g = and_product_graph(cycle(5), cycle(5))
-    iv = c0_bounds(g, max_n=1, budget=tiny)
+    with Budget(nodes=2):
+        iv = c0_bounds(g, max_n=1)
     assert iv.lo <= iv.hi + 1e-9
     # flags recorded on the certificates
     assert iv.lo_cert.details.get("exact") in (False, None) or \
@@ -221,8 +225,8 @@ def test_typical_alpha_estimate_examples():
 
 def test_typical_alpha_pentagon_heavyweight():
     # permutation-sequence subgraph of the 5th pentagon power: alpha = 25
-    est = typical_alpha_estimate(uniform_pgraph(cycle(5)), 5, 0.0,
-                                 Budget(nodes=50_000_000))
+    with Budget(nodes=50_000_000):
+        est = typical_alpha_estimate(uniform_pgraph(cycle(5)), 5, 0.0)
     assert est.details["alpha_exact"]
     assert est.details["alpha"] == 25
     assert est.value == pytest.approx(math.log2(25) / 5)

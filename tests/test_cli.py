@@ -78,12 +78,30 @@ def test_entropy_kappa(tmp_path, capsys):
     assert abs(json.loads(stdout)["h_kappa_bits"] - math.log2(2.5)) < 1e-6
 
 
-def test_codec_channel_and_simulate(tmp_path, capsys):
+def _typewriter_file(tmp_path):
     chan = tmp_path / "chan.json"
     chan.write_text(json.dumps({
         "x_count": 5, "y_count": 5,
         "support": [[x, y] for x in range(5) for y in (x, (x + 1) % 5)],
     }))
+    return chan
+
+
+def _partial_si_spec_file(tmp_path):
+    # component 0 (outputs 0, 1) confuses both inputs, component 1 does not
+    spec = tmp_path / "psi.json"
+    spec.write_text(json.dumps({
+        "channel": {"x_count": 2, "y_count": 4,
+                    "support": [[0, 0], [0, 1], [1, 0], [1, 1], [0, 2], [1, 3]]},
+        "g_map": [0, 0, 1, 1],
+        "joint": [[0, 0, 0.125], [0, 1, 0.125], [1, 0, 0.125], [1, 1, 0.125],
+                  [0, 2, 0.25], [1, 3, 0.25]],
+    }))
+    return spec
+
+
+def test_codec_channel_and_simulate(tmp_path, capsys):
+    chan = _typewriter_file(tmp_path)
     code, stdout, _ = run(capsys, "codec", "channel", "--channel", str(chan),
                           "--n", "2")
     assert code == 0
@@ -96,15 +114,7 @@ def test_codec_channel_and_simulate(tmp_path, capsys):
 
 
 def test_codec_partial_si(tmp_path, capsys):
-    # component 0 (outputs 0, 1) confuses both inputs, component 1 does not
-    spec = tmp_path / "psi.json"
-    spec.write_text(json.dumps({
-        "channel": {"x_count": 2, "y_count": 4,
-                    "support": [[0, 0], [0, 1], [1, 0], [1, 1], [0, 2], [1, 3]]},
-        "g_map": [0, 0, 1, 1],
-        "joint": [[0, 0, 0.125], [0, 1, 0.125], [1, 0, 0.125], [1, 1, 0.125],
-                  [0, 2, 0.25], [1, 3, 0.25]],
-    }))
+    spec = _partial_si_spec_file(tmp_path)
     code, stdout, _ = run(capsys, "codec", "partial-si", "--spec", str(spec),
                           "--n", "6", "--eps", "0.5", "--trials", "300", "--seed", "7")
     assert code == 0
@@ -113,6 +123,34 @@ def test_codec_partial_si(tmp_path, capsys):
     assert payload["components"] == 2 and payload["trials"] == 300
     # the value the CLI printed while it ran its own simulation loop
     assert payload["rate_bits_per_symbol"] == 1.01111111
+
+
+def test_vertex_budget_reaches_si_codecs_and_verify(tmp_path, capsys):
+    chan, spec = _typewriter_file(tmp_path), _partial_si_spec_file(tmp_path)
+    for argv in (["codec", "si", "--channel", str(chan), "--n", "2"],
+                 ["codec", "simulate", "--mode", "si", "--channel", str(chan),
+                  "--n", "2", "--trials", "50"],
+                 ["codec", "partial-si", "--spec", str(spec), "--n", "6", "--trials", "50"]):
+        code, stdout, err = run(capsys, *argv, "--vertex-budget", "4")
+        assert (code, stdout) == (2, "")
+        assert err.startswith("undecided: product too large")
+    code, stdout, _ = run(capsys, "verify", "--tag", "pentagon", "--vertex-budget", "4",
+                          "--full-report")
+    report = json.loads(stdout)
+    assert code == 2 and report["scenario_count"] == 2
+    assert [s["status"] for s in report["scenarios"]] == ["undecided", "undecided"]
+
+
+def test_codec_sum_beyond_two_to_the_64_messages(tmp_path, capsys):
+    spec = tmp_path / "sum.json"
+    spec.write_text(json.dumps({"channels": [
+        {"x_count": k, "y_count": k, "support": [[x, x] for x in range(k)]}
+        for k in (3, 7)]}))
+    code, stdout, _ = run(capsys, "codec", "sum", "--spec", str(spec),
+                          "--composition", "20,20", "--trials", "5")
+    payload = json.loads(stdout)
+    assert code == 0 and payload["errors"] == 0
+    assert int(payload["messages"]) > 2 ** 64
 
 
 def test_eta_cli(tmp_path, capsys):
@@ -198,18 +236,33 @@ def test_output_determinism(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def _fresh(python_args, env_threads=None):
-    """(exit code, stdout) of `python <python_args>` in a new interpreter
-    that imports this package, with ZEROERR_THREADS set only if given."""
+def _env(env_threads=None):
+    """Environment of a new interpreter that imports this package, with
+    ZEROERR_THREADS set only if given."""
     env = dict(os.environ)
     src = str(Path(zeroerr.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     env.pop("ZEROERR_THREADS", None)
     if env_threads is not None:
         env["ZEROERR_THREADS"] = env_threads
-    proc = subprocess.run([sys.executable, *python_args], env=env,
+    return env
+
+
+def _fresh(python_args, env_threads=None):
+    """(exit code, stdout) of `python <python_args>` in a new interpreter."""
+    proc = subprocess.run([sys.executable, *python_args], env=_env(env_threads),
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout
+
+
+def test_closed_stdout_exits_zero_quietly():
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the command writes
+    with os.fdopen(write_end, "wb") as stdout:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zeroerr.cli", "graph", "catalog", "--name", "cycle",
+             "--n", "3"], env=_env(), stdout=stdout, stderr=subprocess.PIPE, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 def test_shared_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch):

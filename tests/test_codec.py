@@ -5,6 +5,8 @@ import math
 import pytest
 
 from zeroerr.graphs import (
+    Budget,
+    BudgetExceeded,
     ChannelSpec,
     Distribution,
     and_product_graph,
@@ -27,6 +29,7 @@ from zeroerr.codec import (
     is_prefix_free,
     kraft_sum,
     pack_bits,
+    partial_si_roundtrip,
     sample_joint,
     shifted_codebook,
     si_roundtrip,
@@ -198,6 +201,16 @@ def test_partial_si_roundtrips():
         a_seq = tuple(spec.g_map[y] for y in ys)
         bits = code.encode(xs, a_seq)
         assert code.decode(ys, bits) == xs
+
+
+def test_partial_si_code_keeps_the_budget_it_was_made_under():
+    # component codes are built at the first roundtrip, after the scope closed
+    spec = _partial_spec()
+    with Budget(vertices=4):
+        code = build_partial_si_code(spec, 6, 0.5)
+    with pytest.raises(BudgetExceeded, match="too large"):
+        partial_si_roundtrip(code, 1, 7)
+    assert partial_si_roundtrip(build_partial_si_code(spec, 6, 0.5), 20, 7)[0] == 0
 
 
 def test_partial_si_single_component_matches_si():

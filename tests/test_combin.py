@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zeroerr.graphs import (
+    Budget,
     Distribution,
     ProbabilisticGraph,
     and_power,
@@ -29,7 +30,6 @@ from zeroerr.graphs import (
 )
 from zeroerr import combin
 from zeroerr.combin import (
-    Budget,
     alpha_exact,
     chromatic_number_exact,
     clique_cover_number,
@@ -76,7 +76,8 @@ def test_alpha_against_brute_force():
 
 def test_alpha_budget_degrades_to_lower_bound():
     g = and_power_graph(cycle(5), 2)
-    r = alpha_exact(g, Budget(nodes=3))
+    with Budget(nodes=3):
+        r = alpha_exact(g)
     assert not r.exact
     assert r.size <= 5
     assert is_independent(g, r.witness.vertices)
@@ -187,7 +188,8 @@ def test_chromatic_number_relabels_each_graph_once(monkeypatch):
 
 
 def _chi_solve(g, budget, lower):
-    solver = combin._ChiSolver(g, budget, lower, combin._root_order(g))
+    with budget:
+        solver = combin._ChiSolver(g, lower, combin._root_order(g))
     count, colors, exact = solver.solve()
     return count, colors, exact, solver.nodes
 

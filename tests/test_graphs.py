@@ -1,10 +1,12 @@
 """Graph core: types, constructions, catalog, index algebra, file formats."""
 
+import threading
 from fractions import Fraction
 
 import pytest
 
 from zeroerr.graphs import (
+    Budget,
     BudgetExceeded,
     ChannelSpec,
     Distribution,
@@ -116,8 +118,37 @@ def test_and_power_examples():
 
 
 def test_product_budget():
-    with pytest.raises(BudgetExceeded, match="too large"):
-        and_power(uniform_pgraph(cycle(5)), 8, vertex_budget=1 << 16)
+    with Budget(vertices=1 << 16), pytest.raises(BudgetExceeded, match="too large"):
+        and_power(uniform_pgraph(cycle(5)), 8)
+
+
+def test_budget_scope_nests_and_restores():
+    assert Budget.current() == Budget()
+    outer, inner = Budget(nodes=7, vertices=30), Budget(vertices=4)
+    with outer:
+        assert and_power_graph(cycle(5), 2).n == 25
+        with inner:
+            assert Budget.current() is inner
+            with pytest.raises(BudgetExceeded, match=r"5\^2 > 4"):
+                and_power_graph(cycle(5), 2)
+        assert Budget.current() is outer
+        with pytest.raises(ZeroDivisionError):
+            with inner:
+                1 / 0
+        assert Budget.current() is outer
+        with outer:  # the active instance entered again
+            assert Budget.current() is outer
+        assert Budget.current() is outer
+    assert Budget.current() == Budget()
+
+
+def test_budget_scope_does_not_reach_a_new_thread():
+    seen = []
+    with Budget(nodes=3, vertices=4):
+        worker = threading.Thread(target=lambda: seen.append(Budget.current()))
+        worker.start()
+        worker.join()
+    assert seen == [Budget()]
 
 
 def test_disjoint_union_fig7_weights():

@@ -7,6 +7,7 @@ from itertools import product as iproduct
 import pytest
 
 from zeroerr.graphs import (
+    Budget,
     BudgetExceeded,
     Distribution,
     ProbabilisticGraph,
@@ -245,6 +246,5 @@ def test_eta_requires_rational():
 def test_eta_budget():
     f = Fraction
     c5 = uniform_pgraph(cycle(5))
-    with pytest.raises(BudgetExceeded):
-        eta_bounds([c5, c5], Distribution((f(1, 2), f(1, 2))),
-                   vertex_budget=20)
+    with Budget(vertices=20), pytest.raises(BudgetExceeded):
+        eta_bounds([c5, c5], Distribution((f(1, 2), f(1, 2))))

@@ -2,7 +2,7 @@
 
 import json
 
-from zeroerr.combin import Budget
+from zeroerr.graphs import Budget
 from zeroerr.verifier import (
     SCENARIOS,
     VerifyConfig,
@@ -40,8 +40,8 @@ def test_single_scenario_passes():
 
 
 def test_budget_starved_reports_undecided():
-    starved = VerifyConfig(trials=50, budget=Budget(nodes=2))
-    rep = run_scenario(_by_id("pentagon"), starved)
+    with Budget(nodes=2):
+        rep = run_scenario(_by_id("pentagon"), VerifyConfig(trials=50))
     assert rep["status"] == "undecided"
     assert "budget" in rep["reason"]
 
