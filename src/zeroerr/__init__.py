@@ -86,6 +86,7 @@ from .codec import (
     partial_si_roundtrip,
     shifted_codebook,
     si_roundtrip,
+    si_simulate,
     sum_channel_roundtrip,
 )
 from .verifier import VerifyConfig, full_suite

@@ -1,13 +1,15 @@
-"""Command-line front end.
+"""Command-line front end: handlers parse arguments and print payloads, and
+every code and simulation runs in `codec`.
 
 Subcommands: graph, solve, entropy, bounds, codec, eta, verify.  All numeric
 output uses 9 significant digits; outputs are byte-identical for identical
-(input, config, seed).  Exit codes: 0 success, 2 budget-undecided, 1 error;
-a closed stdout ends the command silently with 0.  `main` runs every
-subcommand, `verify` included, inside one `Budget(nodes=--node-budget,
-vertices=--vertex-budget)` scope.  Only these node and vertex budgets shape
-a payload: `--time-budget-ms` is one hard limit on the whole command, which
-then exits 2 and writes no output at all.
+(input, config, seed).  Exit codes: 0 success, 2 budget-undecided, 1 error
+(usage errors and out-of-range numbers included); a closed stdout ends the
+command silently with 0.  `main` runs every subcommand, `verify` included,
+inside one `Budget(nodes=--node-budget, vertices=--vertex-budget)` scope.
+Only these node and vertex budgets shape a payload: `--time-budget-ms` is
+one hard limit on the whole command, which then exits 2 and writes no
+output at all.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import signal
 import sys
@@ -57,11 +60,16 @@ from .bounds import c0_bounds, c_rel_bounds, h0_bounds, hbar_bounds, typical_alp
 from .typicality import eta_bounds
 from .codec import (
     build_channel_code,
+    build_partial_si_code,
     build_si_code,
+    build_sum_channel_code,
     channel_roundtrip,
-    si_roundtrip,
+    partial_si_roundtrip,
+    partial_si_spec_from_json_dict,
+    si_simulate,
+    sum_channel_roundtrip,
+    sum_channels_from_json_dict,
 )
-from .rng import SplitMix64
 from .verifier import VerifyConfig, full_suite, report_to_csv
 
 
@@ -239,7 +247,7 @@ def _cmd_entropy(args) -> int:
         return 0 if sol.converged else 2
     if args.quantity == "capdist":
         g = _load_graph(args.graph)
-        opt = capacity_achieving_distribution(g, tol=args.tol_bits or 1e-5)
+        opt = capacity_achieving_distribution(g, tol=args.tol_bits)
         _emit(args, {"capacity_bits": float(_fmt(opt.value)),
                      "distribution": [float(_fmt(float(w))) for w in opt.dist.weights],
                      "converged": opt.converged,
@@ -281,39 +289,12 @@ def _cmd_bounds(args) -> int:
 
 
 def _cmd_codec(args) -> int:
-    if args.kind in ("si", "channel", "simulate") and not args.channel:
-        raise ValueError(f"codec {args.kind} requires --channel")
     if args.kind in ("partial-si", "sum") and not args.spec:
         raise ValueError(f"codec {args.kind} requires --spec")
     if args.kind == "sum" and not args.composition:
         raise ValueError("codec sum requires --composition")
-    if args.kind == "channel":
-        chan = channel_from_json_dict(load_json(args.channel))
-        book = build_channel_code(chan, args.n, args.target)
-        _emit(args, {"n": book.n, "codewords": book.to_json_list(),
-                     "rate_bits": float(_fmt(book.rate())),
-                     "independence_checked": book.independence_checked})
-        return 0
-    if args.kind == "si":
-        chan = channel_from_json_dict(load_json(args.channel))
-        p = _parse_dist(args.dist, chan.x_count) if args.dist \
-            else Distribution.uniform(chan.x_count)
-        code = build_si_code(chan, p, args.n, args.eps)
-        _emit(args, {"n": code.n, "eps": code.eps,
-                     "typical_count": len(code.typical_members),
-                     "colors": code.color_count,
-                     "codewords": code.color_codewords,
-                     "escape_length": code.escape_length})
-        return 0
     if args.kind == "partial-si":
-        # spec file: {"channel": {...}, "g_map": [...], "joint": [[x,y,w],...]}
-        from .codec import PartialSideInfoSpec, build_partial_si_code, partial_si_roundtrip
-
-        raw = load_json(args.spec)
-        chan = channel_from_json_dict(raw["channel"])
-        spec = PartialSideInfoSpec(
-            chan, tuple(int(a) for a in raw["g_map"]),
-            tuple((int(x), int(y), float(w)) for x, y, w in raw["joint"]))
+        spec = partial_si_spec_from_json_dict(load_json(args.spec))
         code = build_partial_si_code(spec, args.n, args.eps)
         errors, bits_total = partial_si_roundtrip(code, args.trials, args.seed)
         _emit(args, {"mode": "partial-si", "n": args.n, "eps": args.eps,
@@ -323,12 +304,9 @@ def _cmd_codec(args) -> int:
                          float(_fmt(bits_total / (args.n * args.trials)))})
         return 0 if errors == 0 else 1
     if args.kind == "sum":
-        # spec file: {"channels": [{...}, ...]}; per-channel books are built
-        # at the given block lengths and time-shared by the composition
-        from .codec import build_sum_channel_code, sum_channel_roundtrip
-
-        raw = load_json(args.spec)
-        channels = [channel_from_json_dict(d) for d in raw["channels"]]
+        # per-channel books are built at the given block lengths and
+        # time-shared by the composition
+        channels = sum_channels_from_json_dict(load_json(args.spec))
         composition = tuple(int(c) for c in args.composition.split(","))
         lens = [int(x) for x in args.book_n.split(",")] if args.book_n \
             else [1] * len(channels)
@@ -341,44 +319,37 @@ def _cmd_codec(args) -> int:
                      "rate_bits": float(_fmt(code.rate())),
                      "trials": args.trials, "errors": errors})
         return 0 if errors == 0 else 1
-    if args.kind == "simulate":
-        chan = channel_from_json_dict(load_json(args.channel))
-        if args.mode == "channel":
-            book = build_channel_code(chan, args.n, args.target)
-            errors = channel_roundtrip(book, chan, args.trials, args.seed)
-            _emit(args, {"mode": "channel", "trials": args.trials,
-                         "errors": errors,
-                         "rate_bits": float(_fmt(book.rate()))})
-            return 0 if errors == 0 else 1
-        p = _parse_dist(args.dist, chan.x_count) if args.dist \
-            else Distribution.uniform(chan.x_count)
-        code = build_si_code(chan, p, args.n, args.eps)
-        rng = SplitMix64(args.seed)
-        rows = {x: chan.outputs_of(x) for x in range(chan.x_count)}
-        cum = []
-        acc = 0.0
-        for w in p.weights:
-            acc += float(w)
-            cum.append(acc)
-        errors = 0
-        bits_total = 0
-        for _ in range(args.trials):
-            xs = []
-            for _ in range(args.n):
-                u = rng.random()
-                xs.append(next(i for i, c in enumerate(cum)
-                               if u < c or i == len(cum) - 1))
-            x = tuple(xs)
-            y = tuple(rows[s][rng.randrange(len(rows[s]))] for s in x)
-            decoded, used = si_roundtrip(code, x, y)
-            bits_total += used
-            if decoded != x:
-                errors += 1
-        _emit(args, {"mode": "si", "trials": args.trials, "errors": errors,
-                     "rate_bits_per_symbol":
-                         float(_fmt(bits_total / (args.n * args.trials)))})
+    if not args.channel:
+        raise ValueError(f"codec {args.kind} requires --channel")
+    chan = channel_from_json_dict(load_json(args.channel))
+    if args.kind == "channel":
+        book = build_channel_code(chan, args.n, args.target)
+        _emit(args, {"n": book.n, "codewords": book.to_json_list(),
+                     "rate_bits": float(_fmt(book.rate())),
+                     "independence_checked": book.independence_checked})
+        return 0
+    if args.kind == "simulate" and args.mode == "channel":
+        book = build_channel_code(chan, args.n, args.target)
+        errors = channel_roundtrip(book, chan, args.trials, args.seed)
+        _emit(args, {"mode": "channel", "trials": args.trials,
+                     "errors": errors,
+                     "rate_bits": float(_fmt(book.rate()))})
         return 0 if errors == 0 else 1
-    raise ValueError(f"unknown codec kind '{args.kind}'")
+    p = _parse_dist(args.dist, chan.x_count) if args.dist \
+        else Distribution.uniform(chan.x_count)
+    code = build_si_code(chan, p, args.n, args.eps)
+    if args.kind == "si":
+        _emit(args, {"n": code.n, "eps": code.eps,
+                     "typical_count": len(code.typical_members),
+                     "colors": code.color_count,
+                     "codewords": code.color_codewords,
+                     "escape_length": code.escape_length})
+        return 0
+    errors, bits_total = si_simulate(code, chan, p, args.trials, args.seed)
+    _emit(args, {"mode": "si", "trials": args.trials, "errors": errors,
+                 "rate_bits_per_symbol":
+                     float(_fmt(bits_total / (args.n * args.trials)))})
+    return 0 if errors == 0 else 1
 
 
 def _cmd_eta(args) -> int:
@@ -421,6 +392,14 @@ def _cmd_verify(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, not argparse's 2 (undecided); subparsers inherit it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _add_common(sp):
     sp.add_argument("--vertex-budget", type=int, default=1 << 16)
     sp.add_argument("--time-budget-ms", type=int, default=30_000)
@@ -436,7 +415,7 @@ def _add_common(sp):
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing leaves it
     unchanged, and no default depends on the environment."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="zeroerr",
         description="zero-error coding quantities on probabilistic graphs")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -533,6 +512,10 @@ def main(argv=None) -> int:
         try:
             if not 0 < args.time_budget_ms <= 10 ** 12:  # the timer's range
                 raise ZeroErrError(f"time budget must be 1 to 10^12 ms: {args.time_budget_ms}")
+            if not 0 < args.tol_bits < math.inf:
+                raise ZeroErrError(f"--tol-bits must be positive and finite: {args.tol_bits}")
+            if getattr(args, "trials", 1) < 1:
+                raise ZeroErrError(f"--trials must be at least 1: {args.trials}")
             signal.setitimer(signal.ITIMER_REAL, args.time_budget_ms / 1000.0)
             with Budget(nodes=args.node_budget, vertices=args.vertex_budget):
                 code = args.func(args)

@@ -1,19 +1,24 @@
-"""Operational zero-error codes and their simulation harness.
+"""Operational zero-error codes, their spec-file parsers, and the one home of
+their simulation: `si_simulate`, `partial_si_roundtrip`, `channel_roundtrip`
+and `sum_channel_roundtrip`, which the CLI and the verifier call.
 
-Bit strings are Python strings of '0'/'1' (packed big-endian only at the
-serialization boundary).  All randomness flows through seeded SplitMix64
-generators, so every simulation is reproducible.
+Bit strings are Python strings of '0'/'1'.  All randomness flows through
+seeded SplitMix64 generators, so every simulation is reproducible.
 
 The zero-error property of each construction is structural, not statistical:
-decoders either return the unique compatible source word or raise
-AmbiguityError, which for validly constructed codes cannot happen.
+decoders return the unique compatible source word or raise AmbiguityError,
+which valid codes never do on what their encoders send.  Malformed input
+(bad bits, wrong lengths, out-of-range symbols) raises it too.
 """
 
 from __future__ import annotations
 
+import bisect
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from types import SimpleNamespace
 
 from .graphs import (
@@ -25,6 +30,7 @@ from .graphs import (
     ZeroErrError,
     and_power_graph,
     bits_of,
+    channel_from_json_dict,
     characteristic_graph,
 )
 from .combin import (
@@ -35,6 +41,7 @@ from .combin import (
     is_independent,
 )
 from .rng import SplitMix64
+from .typicality import index_sequence, sequence_index, typical_induced_subgraph
 
 
 class AmbiguityError(ZeroErrError):
@@ -51,8 +58,6 @@ def huffman_code(weights) -> list:
     Deterministic: ties broken by insertion order.  A single symbol gets the
     1-bit codeword "0" so concatenated streams stay self-delimiting.
     """
-    import heapq
-
     n = len(weights)
     if n == 0:
         return []
@@ -120,10 +125,6 @@ def unpack_bits(data: bytes, bit_count: int) -> str:
 # variable-length side-information code
 
 
-def _int_to_bits(value: int, width: int) -> str:
-    return format(value, "b").zfill(width)
-
-
 @dataclass
 class SiCode:
     """Typical-set coloring code for the side-information problem.
@@ -159,15 +160,15 @@ class SiCode:
         idx = self._member_index.get(x_seq)
         if idx is not None:
             return "0" + self.color_codewords[self.color_of[idx]]
-        raw = 0
-        for s in x_seq:
-            raw = raw * self.alphabet_size + s
-        return "1" + _int_to_bits(raw, self.escape_length)
+        raw = sequence_index(x_seq, self.alphabet_size)
+        return "1" + format(raw, "b").zfill(self.escape_length)
 
     def decode(self, y_seq, bits: str, pos: int = 0):
-        """Returns (x_seq, new_pos).  A stream that ends early or does not
-        hold a codeword raises AmbiguityError."""
+        """Returns (x_seq, new_pos).  Side information of the wrong length or
+        a stream that ends early or holds no codeword raises AmbiguityError."""
         y_seq = tuple(y_seq)
+        if len(y_seq) != self.n:
+            raise AmbiguityError(f"{len(y_seq)} outputs for a block of {self.n}")
         flag, pos = bits[pos:pos + 1], pos + 1
         if flag not in ("0", "1"):
             raise AmbiguityError("bit stream does not start with a flag bit")
@@ -179,10 +180,7 @@ class SiCode:
             raw = int(index_bits, 2)
             if raw >= self.alphabet_size ** self.n:
                 raise AmbiguityError("escape index outside the source alphabet")
-            seq = [0] * self.n
-            for t in range(self.n - 1, -1, -1):
-                raw, seq[t] = divmod(raw, self.alphabet_size)
-            return tuple(seq), pos
+            return index_sequence(raw, self.alphabet_size, self.n), pos
         color, pos = self._huffman.read(bits, pos)
         candidates = [
             x for x in self._decode_table.get(color, ())
@@ -196,8 +194,6 @@ class SiCode:
 
 def _build_si_from_graph(g: Graph, support: frozenset, p: Distribution,
                          n: int, eps: float) -> SiCode:
-    from .typicality import typical_induced_subgraph
-
     pg = ProbabilisticGraph(g, p)
     induced, members = typical_induced_subgraph(pg, n, eps)
     if induced.n <= 256:  # the exact solver's vertex limit
@@ -229,6 +225,28 @@ def si_roundtrip(code: SiCode, x_seq, y_seq):
     return decoded, len(bits)
 
 
+def si_simulate(code: SiCode, channel: ChannelSpec, p: Distribution, trials: int, seed: int):
+    """`trials` blocks through `si_roundtrip`: x^n i.i.d. from p, then each
+    y_t uniform on the outputs of x_t; returns (error count, total bits).
+
+    Each symbol is one `randrange` over p's weights as coprime integers, so
+    the draw is exact and Distribution.uniform(k) draws randrange(k)."""
+    den = math.lcm(*(Fraction(w).denominator for w in p.weights))
+    ints = [int(Fraction(w) * den) for w in p.weights]
+    divisor = math.gcd(*ints)
+    cum = list(itertools.accumulate(w // divisor for w in ints))
+    rows = [channel.outputs_of(x) for x in range(channel.x_count)]
+    rng = SplitMix64(seed)
+    errors = bits_total = 0
+    for _ in range(trials):
+        x = tuple(bisect.bisect_right(cum, rng.randrange(cum[-1])) for _ in range(code.n))
+        y = tuple(rows[s][rng.randrange(len(rows[s]))] for s in x)
+        decoded, used = si_roundtrip(code, x, y)
+        errors += decoded != x
+        bits_total += used
+    return errors, bits_total
+
+
 # ---------------------------------------------------------------------------
 # partial side information at the encoder
 
@@ -242,8 +260,8 @@ class PartialSideInfoSpec:
     joint: tuple                # ((x, y, weight), ...) with positive weights
 
     def __post_init__(self):
-        if len(self.g_map) != self.channel.y_count:
-            raise ValueError("g_map must be total on the output alphabet")
+        if len(self.g_map) != self.channel.y_count or min(self.g_map, default=0) < 0:
+            raise ValueError("g_map must give each output a component index >= 0")
         for x, y, w in self.joint:
             if (x, y) not in self.channel.support:
                 raise ValueError(f"joint weight on ({x},{y}) outside channel support")
@@ -270,6 +288,16 @@ class PartialSideInfoSpec:
     def component_weight(self, a: int) -> float:
         total = sum(wt for _, _, wt in self.joint)
         return sum(wt for x, y, wt in self.joint if self.g_map[y] == a) / total
+
+
+def partial_si_spec_from_json_dict(d: dict) -> PartialSideInfoSpec:
+    """{"channel": {...}, "g_map": [a per output], "joint": [[x, y, w], ...]}."""
+    try:
+        return PartialSideInfoSpec(
+            channel_from_json_dict(d["channel"]), tuple(int(a) for a in d["g_map"]),
+            tuple((int(x), int(y), float(w)) for x, y, w in d["joint"]))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed partial-SI spec JSON: {exc}") from exc
 
 
 @dataclass
@@ -307,6 +335,9 @@ class PartialSiCode:
         return "".join(parts)
 
     def decode(self, y_seq, bits: str):
+        y_seq = tuple(y_seq)
+        if len(y_seq) != self.n or not all(0 <= y < self.spec.channel.y_count for y in y_seq):
+            raise AmbiguityError(f"side information is not {self.n} channel outputs")
         a_seq = tuple(self.spec.g_map[y] for y in y_seq)
         decoded_parts = {}
         pos = 0
@@ -379,6 +410,18 @@ class Codebook:
     def to_json_list(self):
         return [list(c) for c in self.codewords]
 
+    def decode(self, channel: ChannelSpec, y) -> int:
+        """Index of the one codeword whose support admits the outputs y; a
+        wrong length or a candidate count other than one raises AmbiguityError."""
+        y = tuple(y)
+        if len(y) != self.n:
+            raise AmbiguityError(f"{len(y)} outputs for a block of {self.n}")
+        cands = [i for i, w in enumerate(self.codewords)
+                 if all((wt, yt) in channel.support for wt, yt in zip(w, y))]
+        if len(cands) != 1:
+            raise AmbiguityError(f"{len(cands)} codeword candidates")
+        return cands[0]
+
 
 def words_confusable(g: Graph, w1, w2) -> bool:
     """Adjacency of two distinct words in the AND power of g."""
@@ -397,8 +440,6 @@ def verify_codebook(g: Graph, book: Codebook) -> bool:
 def build_channel_code(channel: ChannelSpec, n: int, target: str = "exact") -> Codebook:
     """Zero-error codebook: maximum (exact) or greedy-maximal independent set
     in the n-th AND power of the characteristic graph."""
-    from .typicality import index_sequence
-
     if target not in ("exact", "greedy"):
         raise ValueError(f"unknown target '{target}'")
     g = characteristic_graph(channel)
@@ -428,16 +469,13 @@ def channel_roundtrip(code: Codebook, channel: ChannelSpec, trials: int,
     errors = 0
     words = code.codewords
     for _ in range(trials):
-        x = words[rng.randrange(len(words))]
-        y = tuple(rows[s][rng.randrange(len(rows[s]))] for s in x)
-        cands = [w for w in words
-                 if all((wt, yt) in channel.support for wt, yt in zip(w, y))]
-        if len(cands) != 1:
+        i = rng.randrange(len(words))
+        y = tuple(rows[s][rng.randrange(len(rows[s]))] for s in words[i])
+        try:
+            errors += code.decode(channel, y) != i
+        except AmbiguityError:
             if code.independence_checked:
-                raise AmbiguityError(f"{len(cands)} candidates for a checked codebook")
-            errors += 1
-            continue
-        if cands[0] != x:
+                raise
             errors += 1
     return errors
 
@@ -550,28 +588,22 @@ class SumChannelCode:
     def decode_outputs(self, outputs) -> int:
         """Sequence of (channel, output symbol) letters -> message integer."""
         outputs = tuple(outputs)
-        arrangement, blocks = [], []
+        arrangement, digits = [], []
         pos = 0
         while pos < len(outputs):
             a = outputs[pos][0]
+            if not 0 <= a < len(self.channels):
+                raise AmbiguityError(f"output letter names channel {a}")
             m = self.books[a].n
             block = outputs[pos:pos + m]
             if len(block) != m or any(ch != a for ch, _ in block):
                 raise AmbiguityError("output letters do not align with blocks")
             arrangement.append(a)
-            blocks.append(tuple(y for _, y in block))
+            digits.append(self.books[a].decode(self.channels[a], (y for _, y in block)))
             pos += m
         counts = [arrangement.count(a) for a in range(len(self.channels))]
         if counts != list(self.composition):
             raise AmbiguityError("recovered arrangement has the wrong composition")
-        digits = []
-        for a, ys in zip(arrangement, blocks):
-            chan = self.channels[a]
-            cands = [i for i, w in enumerate(self.books[a].codewords)
-                     if all((wt, yt) in chan.support for wt, yt in zip(w, ys))]
-            if len(cands) != 1:
-                raise AmbiguityError(f"{len(cands)} block candidates in channel {a}")
-            digits.append(cands[0])
         word_rank = 0
         for a, d in zip(arrangement, digits):
             word_rank = word_rank * len(self.books[a].codewords) + d
@@ -580,6 +612,14 @@ class SumChannelCode:
 
 def build_sum_channel_code(channels, books, composition) -> SumChannelCode:
     return SumChannelCode(tuple(channels), tuple(books), tuple(composition))
+
+
+def sum_channels_from_json_dict(d: dict) -> tuple:
+    """The summands of a sum spec: {"channels": [{...}, ...]}."""
+    try:
+        return tuple(channel_from_json_dict(c) for c in d["channels"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed sum spec JSON: {exc}") from exc
 
 
 def sum_channel_roundtrip(code: SumChannelCode, trials: int, seed: int = 0) -> int:

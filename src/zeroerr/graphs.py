@@ -49,6 +49,10 @@ class Budget:
     nodes: int = 5_000_000
     vertices: int = 1 << 16
 
+    def __post_init__(self):
+        if self.nodes < 0 or self.vertices < 0:
+            raise ZeroErrError(f"budgets must be >= 0: {self}")
+
     def __enter__(self) -> Budget:
         _SCOPES.set(_SCOPES.get() + (self,))
         return self
@@ -236,16 +240,12 @@ def uniform_pgraph(g: Graph) -> ProbabilisticGraph:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Support pattern of a conditional distribution P(y|x).
-
-    Only the support matters for zero-error questions; `weights` is an
-    optional positive weighting of support pairs used by simulators.
-    """
+    """Support pattern of a conditional distribution P(y|x): only the
+    support matters for zero-error questions."""
 
     x_count: int
     y_count: int
     support: frozenset
-    weights: tuple | None = None
 
     def __post_init__(self):
         for x, y in self.support:
@@ -259,23 +259,17 @@ class ChannelSpec:
         return sorted(y for sx, y in self.support if sx == x)
 
     def to_json_dict(self) -> dict:
-        d = {
+        return {
             "x_count": self.x_count,
             "y_count": self.y_count,
             "support": sorted([x, y] for x, y in self.support),
         }
-        if self.weights is not None:
-            d["weights"] = [[x, y, p] for x, y, p in self.weights]
-        return d
 
 
 def channel_from_json_dict(d: dict) -> ChannelSpec:
     try:
         support = frozenset((int(x), int(y)) for x, y in d["support"])
-        weights = None
-        if "weights" in d:
-            weights = tuple((int(x), int(y), float(p)) for x, y, p in d["weights"])
-        return ChannelSpec(int(d["x_count"]), int(d["y_count"]), support, weights)
+        return ChannelSpec(int(d["x_count"]), int(d["y_count"]), support)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed channel JSON: {exc}") from exc
 

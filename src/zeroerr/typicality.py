@@ -15,7 +15,6 @@ from fractions import Fraction
 from .graphs import (
     BudgetExceeded,
     Distribution,
-    Graph,
     ProbabilisticGraph,
     and_power,
     and_product,

@@ -21,12 +21,14 @@ from .graphs import (
     and_product,
     and_product_graph,
     catalog_get,
+    characteristic_graph,
     complement,
     cycle,
     complete,
     disjoint_union,
     empty,
     graph_from_edges,
+    induced_subgraph,
     induced_subgraph_graph,
     path,
     uniform_pgraph,
@@ -34,6 +36,7 @@ from .graphs import (
 from .combin import alpha_exact, clique_cover_number, min_entropy_coloring
 from .numopt import (
     capacity_achieving_distribution,
+    haemers_bound,
     korner_entropy,
     relative_capacity_perfect,
     sum_channel_weights,
@@ -41,7 +44,7 @@ from .numopt import (
 )
 from .bounds import c0_bounds, c_rel_bounds, h0_bounds, hbar_bounds
 from .symmetry import graph_isomorphic, is_isomorphic, is_perfect, srg_parameters
-from .typicality import eta_bounds, type_split
+from .typicality import eta_bounds, type_split, typical_set
 from .codec import (
     Codebook,
     build_channel_code,
@@ -52,7 +55,7 @@ from .codec import (
     PartialSideInfoSpec,
     partial_si_roundtrip,
     shifted_codebook,
-    si_roundtrip,
+    si_simulate,
     sum_channel_roundtrip,
     verify_codebook,
 )
@@ -172,8 +175,6 @@ def _sc_pentagon(cfg):
 def _sc_full_support(cfg):
     # a full-support channel makes the characteristic graph complete and the
     # optimal rate collapses to H(X)
-    from .graphs import characteristic_graph
-
     chan = ChannelSpec(4, 3, frozenset((x, y) for x in range(4) for y in range(3)))
     g = characteristic_graph(chan)
     rng = SplitMix64(cfg.seed ^ 0x11)
@@ -193,21 +194,9 @@ def _sc_si_operational(cfg):
     p = Distribution.uniform(5)
     n, eps = 2, 0.3
     code = build_si_code(chan, p, n, eps)
-    rng = SplitMix64(cfg.seed ^ 0x22)
-    rows = {x: chan.outputs_of(x) for x in range(5)}
-    bits_used = 0
-    errors = 0
-    for _ in range(cfg.trials):
-        x = tuple(rng.randrange(5) for _ in range(n))
-        y = tuple(rows[s][rng.randrange(len(rows[s]))] for s in x)
-        decoded, used = si_roundtrip(code, x, y)
-        bits_used += used
-        if decoded != x:
-            errors += 1
+    errors, bits_used = si_simulate(code, chan, p, cfg.trials, cfg.seed ^ 0x22)
     rate = bits_used / (n * cfg.trials)
     # rate budget: 1/n + P(atypical) log|X| + (H of the coloring + 1)/n
-    from .typicality import typical_set
-
     p_typ = typical_set(p, n, eps).probability()
     masses = [0.0] * code.color_count
     total = 0.0
@@ -523,8 +512,6 @@ def _sc_schlafli(cfg):
     checks.append(_close("c0(S) = log 3", iv_s.midpoint, math.log2(3), 1e-6))
     checks.append(_leq("c0(S) width", iv_s.width, 1e-6))
     if cfg.haemers_matrix is not None:
-        from .numopt import haemers_bound
-
         hb = haemers_bound(sbar, cfg.haemers_matrix)
         strict = math.log2(3) + hb < math.log2(27) - 1e-9
         checks.append(Check("C0-level strictness with user fitting matrix",
@@ -653,8 +640,6 @@ def _sc_type_split(cfg):
 
 def _sc_induced_sandwich(cfg):
     rng = SplitMix64(cfg.seed ^ 0x99)
-    from .graphs import induced_subgraph
-
     checks = []
     violations = 0
     samples = 20
@@ -823,8 +808,6 @@ def _sc_codec_sum(cfg):
 
 def _sc_shifted(cfg):
     chan5 = typewriter_channel(5)
-    from .graphs import characteristic_graph
-
     c5 = characteristic_graph(chan5)
     prod_graph = and_product_graph(c5, c5)
     # independent 5-word diagonal book at n=2 over the 25-letter product

@@ -8,6 +8,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 import zeroerr
 from zeroerr import bounds, cli
 from zeroerr.cli import main
@@ -125,6 +127,30 @@ def test_codec_partial_si(tmp_path, capsys):
     assert payload["rate_bits_per_symbol"] == 1.01111111
 
 
+def test_codec_simulate_si_draws_exactly_from_the_distribution(tmp_path, capsys):
+    # one randrange(5) per symbol of the uniform default, the draw of the
+    # verifier's si-operational scenario
+    chan = _typewriter_file(tmp_path)
+    code, stdout, _ = run(capsys, "codec", "simulate", "--mode", "si", "--channel", str(chan),
+                          "--n", "2", "--eps", "0.3", "--trials", "3000", "--seed", "1")
+    assert code == 0
+    assert json.loads(stdout) == {"errors": 0, "mode": "si", "trials": 3000,
+                                  "rate_bits_per_symbol": 1.9695}
+
+
+def test_codec_spec_without_a_key_is_malformed(tmp_path, capsys):
+    psi, sum_spec = tmp_path / "psi.json", tmp_path / "sum.json"
+    psi.write_text(json.dumps({k: v for k, v in json.loads(
+        _partial_si_spec_file(tmp_path).read_text()).items() if k != "g_map"}))
+    sum_spec.write_text(json.dumps({"channel": []}))
+    for argv, message in ((["partial-si", "--spec", str(psi)], "partial-SI spec JSON: 'g_map'"),
+                          (["sum", "--spec", str(sum_spec), "--composition", "1"],
+                           "sum spec JSON: 'channels'")):
+        code, stdout, err = run(capsys, "codec", *argv)
+        assert (code, stdout) == (1, "")
+        assert err.startswith(f"error: malformed {message}") and "Traceback" not in err
+
+
 def test_vertex_budget_reaches_si_codecs_and_verify(tmp_path, capsys):
     chan, spec = _typewriter_file(tmp_path), _partial_si_spec_file(tmp_path)
     for argv in (["codec", "si", "--channel", str(chan), "--n", "2"],
@@ -182,6 +208,50 @@ def test_error_paths(tmp_path, capsys):
     code, _, err = run(capsys, "graph", "power", "--graph", str(g), "--n", "9",
                        "--vertex-budget", "1000")
     assert code == 2 and "undecided" in err
+
+
+def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
+    # argparse's own exit code would be 2, which means undecided
+    g = tmp_path / "c6.json"
+    for argv in (["bounds", "c0", "--graph", str(g), "--bogus", "1"],
+                 ["codec", "si", "--n", "two"], ["entropy", "nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr()
+        assert (exc.value.code, out.out) == (1, "") and "error:" in out.err
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--help"])
+    assert exc.value.code == 0 and "--max-n" in capsys.readouterr().out
+
+
+def _refused(capsys, argv, message):
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (1, "") and err.startswith(f"error: {message}")
+
+
+def test_negative_budgets_are_errors(tmp_path, capsys):
+    g = tmp_path / "c5.json"
+    run(capsys, "graph", "catalog", "--name", "cycle", "--n", "5", "--out", str(g))
+    for flag in ("--vertex-budget", "--node-budget"):
+        _refused(capsys, ["bounds", "c0", "--graph", str(g), flag, "-1"],
+                 "budgets must be >= 0")
+
+
+def test_trials_below_one_are_errors(tmp_path, capsys):
+    chan, spec = _typewriter_file(tmp_path), _partial_si_spec_file(tmp_path)
+    for argv in (["codec", "partial-si", "--spec", str(spec), "--trials", "0"],
+                 ["codec", "simulate", "--mode", "si", "--channel", str(chan), "--trials", "0"],
+                 ["codec", "simulate", "--channel", str(chan), "--trials", "-3"],
+                 ["verify", "--tag", "pentagon", "--trials", "0"]):
+        _refused(capsys, argv, "--trials must be at least 1")
+
+
+def test_tol_bits_must_be_positive_and_finite(tmp_path, capsys):
+    g = tmp_path / "c5.json"
+    run(capsys, "graph", "catalog", "--name", "cycle", "--n", "5", "--out", str(g))
+    for tol in ("0", "-1e-9", "nan", "inf"):
+        _refused(capsys, ["entropy", "capdist", "--graph", str(g), f"--tol-bits={tol}"],
+                 "--tol-bits must be positive and finite")
 
 
 def test_time_budget_out_of_range_is_an_error(tmp_path, capsys):

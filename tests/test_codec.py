@@ -1,8 +1,11 @@
 """Operational zero-error codes: prefix-freeness, roundtrips, rate accounting."""
 
+import functools
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zeroerr.graphs import (
     Budget,
@@ -30,10 +33,13 @@ from zeroerr.codec import (
     kraft_sum,
     pack_bits,
     partial_si_roundtrip,
+    partial_si_spec_from_json_dict,
     sample_joint,
     shifted_codebook,
     si_roundtrip,
+    si_simulate,
     sum_channel_roundtrip,
+    sum_channels_from_json_dict,
     unpack_bits,
     verify_codebook,
     words_confusable,
@@ -180,6 +186,45 @@ def test_si_stream_self_synchronizing():
         decoded, pos = code.decode(y, stream, pos)
         assert decoded == x
     assert pos == len(stream)
+
+
+def _record_roundtrips(monkeypatch):
+    """The (x, y) blocks that si_simulate hands to si_roundtrip."""
+    seen, real = [], codec.si_roundtrip
+    monkeypatch.setattr(codec, "si_roundtrip",
+                        lambda code, x, y: seen.append((x, y)) or real(code, x, y))
+    return seen
+
+
+def test_si_simulate_draws_uniform_symbols_with_one_randrange(monkeypatch):
+    chan, code, rows = _si_setup()
+    seen = _record_roundtrips(monkeypatch)
+    errors, bits = si_simulate(code, chan, Distribution.uniform(5), 40, 17)
+    rng = SplitMix64(17)
+    want = []
+    for _ in range(40):
+        x = tuple(rng.randrange(5) for _ in range(2))
+        want.append((x, tuple(rows[s][rng.randrange(len(rows[s]))] for s in x)))
+    assert seen == want
+    assert (errors, bits) == (0, sum(len(code.encode(x)) for x, _ in want))
+
+
+def test_si_simulate_draws_exactly_from_p(monkeypatch):
+    # 1/2, 1/4, 1/4 scale to the integers 2, 1, 1: one randrange(4) per
+    # symbol; dyadic floats are the same numbers and draw the same symbols
+    chan = ChannelSpec(3, 3, frozenset((x, x) for x in range(3)))
+    rng = SplitMix64(5)
+    want = []
+    for _ in range(30):
+        x = (0, 0, 1, 2)[rng.randrange(4)]
+        rng.randrange(1)  # the output draw of a noiseless channel
+        want.append(((x,), (x,)))
+    for weights in ((Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)), (0.5, 0.25, 0.25)):
+        p = Distribution(weights)
+        code = build_si_code(chan, p, 1, 1.0)
+        seen = _record_roundtrips(monkeypatch)
+        assert si_simulate(code, chan, p, 30, 5)[0] == 0
+        assert seen == want
 
 
 # --- partial side information --------------------------------------------------
@@ -337,6 +382,102 @@ def test_sum_channel_encode_decode_all_messages():
         letters = sc.encode(msg)
         outputs = tuple((a, s) for a, s in letters)  # identity channels
         assert sc.decode_outputs(outputs) == msg
+
+
+# --- malformed input ----------------------------------------------------------
+
+
+def test_decoders_reject_wrong_lengths_and_out_of_range_symbols():
+    _, code, _ = _si_setup()
+    psi = build_partial_si_code(_partial_spec(), 2, 0.5)
+    ch3 = ChannelSpec(3, 3, frozenset((x, x) for x in range(3)))
+    b3 = build_channel_code(ch3, 1)
+    sc = build_sum_channel_code([ch3, ch3], [b3, b3], (1, 1))
+    calls = [lambda: code.decode((0,), "0110"),      # one output for two symbols
+             lambda: b3.decode(ch3, (0, 0)),
+             lambda: sc.decode_outputs(((5, 0), (0, 0))),
+             lambda: psi.decode((7, 0), "00"),
+             lambda: psi.decode((-1, 0), "00")]    # not g_map[-1]
+    for call in calls:
+        with pytest.raises(AmbiguityError):
+            call()
+
+
+def test_spec_loaders_name_a_missing_key():
+    with pytest.raises(ValueError, match="malformed partial-SI spec JSON: 'g_map'"):
+        partial_si_spec_from_json_dict({"channel": _partial_spec().channel.to_json_dict(),
+                                        "joint": []})
+    with pytest.raises(ValueError, match="malformed sum spec JSON: 'channels'"):
+        sum_channels_from_json_dict({})
+    with pytest.raises(ValueError, match="component index"):
+        PartialSideInfoSpec(_partial_spec().channel, (0, 0, 1, -1), ())
+
+
+@functools.cache
+def _fuzz_codes():
+    chan, si, rows = _si_setup()
+    book = build_channel_code(chan, 2)
+    ch3 = ChannelSpec(3, 3, frozenset((x, x) for x in range(3)))
+    sc = build_sum_channel_code([ch3, chan], [build_channel_code(ch3, 1), book], (2, 1))
+    return chan, rows, si, book, sc, build_partial_si_code(_partial_spec(), 3, 0.5)
+
+
+@settings(derandomize=True, deadline=None, max_examples=150, database=None)
+@given(seed=st.integers(0, 2 ** 32), edits=st.lists(st.tuples(
+    st.integers(0, 5), st.integers(0, 6), st.integers(-2, 5)), max_size=4))
+def test_decoders_return_a_valid_decode_or_raise_ambiguity(seed, edits):
+    # each decoder gets what its encoder sent and the channel put out, after
+    # edits (target, position, value) that replace, append or drop (-2) an
+    # item: wrong lengths, foreign bits and out-of-range symbols
+    chan, rows, si, book, sc, psi = _fuzz_codes()
+    rng = SplitMix64(seed)
+
+    def edited(target, seq, piece):
+        seq = list(seq)
+        for t, pos, v in edits:
+            if t == target:
+                seq[pos:pos + 1] = [] if v == -2 else [piece(v)]
+        return seq
+
+    def noisy(target, word):
+        return edited(target, [rows[s][rng.randrange(2)] for s in word], int)
+
+    def bit(v):
+        return "01x"[v % 3]
+
+    x = (rng.randrange(5), rng.randrange(5))
+    ys, bits = noisy(0, x), "".join(edited(1, si.encode(x), bit))
+    try:
+        got, pos = si.decode(ys, bits)
+        assert len(ys) == len(got) == 2 and all(0 <= s < 5 for s in got)
+        assert 0 < pos <= len(bits)
+        assert bits[0] == "1" or all(p in chan.support for p in zip(got, ys))
+    except AmbiguityError:
+        pass
+    ys = noisy(2, book.codewords[rng.randrange(5)])
+    try:
+        word = book.codewords[book.decode(chan, ys)]
+        assert len(ys) == 2 and all(p in chan.support for p in zip(word, ys))
+    except AmbiguityError:
+        pass
+    letters = edited(3, [(a, s if a == 0 else rows[s][rng.randrange(2)])
+                         for a, s in sc.encode(rng.randrange(sc.message_count()))],
+                     lambda v: (v % 4 - 1, v))
+    try:
+        sent = sc.encode(sc.decode_outputs(letters))
+        assert len(sent) == len(letters)
+        assert all(a == b and (s, y) in sc.channels[a].support
+                   for (a, s), (b, y) in zip(sent, letters))
+    except AmbiguityError:
+        pass
+    xs, ys = sample_joint(psi.spec, 3, rng)
+    bits = "".join(edited(4, psi.encode(xs, [psi.spec.g_map[y] for y in ys]), bit))
+    ys = edited(5, ys, int)
+    try:
+        got = psi.decode(ys, bits)
+        assert len(got) == len(ys) == 3 and all(0 <= s < 2 for s in got)
+    except AmbiguityError:
+        pass
 
 
 # --- shifted codebooks ------------------------------------------------------------

@@ -12,6 +12,7 @@ from zeroerr.graphs import (
     Distribution,
     Graph,
     ProbabilisticGraph,
+    ZeroErrError,
     and_power,
     and_power_graph,
     and_product,
@@ -142,6 +143,13 @@ def test_budget_scope_nests_and_restores():
     assert Budget.current() == Budget()
 
 
+def test_budget_rejects_negative_limits():
+    assert Budget(nodes=0, vertices=0).nodes == 0
+    for kwargs in ({"nodes": -5}, {"vertices": -1}):
+        with pytest.raises(ZeroErrError, match="budgets must be >= 0"):
+            Budget(**kwargs)
+
+
 def test_budget_scope_does_not_reach_a_new_thread():
     seen = []
     with Budget(nodes=3, vertices=4):
@@ -225,8 +233,7 @@ def test_json_roundtrip():
         tuple(Fraction(k + 1, 21) for k in range(6))))
     back = pgraph_from_json_dict(pg.to_json_dict())
     assert back.dist.weights == pg.dist.weights
-    chan = ChannelSpec(2, 3, frozenset({(0, 0), (0, 1), (1, 2)}),
-                       ((0, 0, 0.5), (0, 1, 0.5), (1, 2, 1.0)))
+    chan = ChannelSpec(2, 3, frozenset({(0, 0), (0, 1), (1, 2)}))
     back = channel_from_json_dict(chan.to_json_dict())
     assert back.support == chan.support
     with pytest.raises(ValueError, match="malformed"):
