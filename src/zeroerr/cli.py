@@ -123,12 +123,19 @@ def _load_pgraph(path: str, dist_arg=None) -> ProbabilisticGraph:
     return uniform_pgraph(g)
 
 
+def _fraction(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in weight '{text}'") from exc
+
+
 def _parse_dist(text: str, n: int) -> Distribution:
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != n:
         raise ValueError(f"distribution needs {n} weights, got {len(parts)}")
     if all("/" in p for p in parts):
-        return Distribution(tuple(Fraction(p) for p in parts))
+        return Distribution(tuple(_fraction(p) for p in parts))
     return Distribution(tuple(float(p) for p in parts))
 
 
@@ -250,8 +257,7 @@ def _cmd_entropy(args) -> int:
         opt = capacity_achieving_distribution(g, tol=args.tol_bits)
         _emit(args, {"capacity_bits": float(_fmt(opt.value)),
                      "distribution": [float(_fmt(float(w))) for w in opt.dist.weights],
-                     "converged": opt.converged,
-                     "exact": opt.exact_evaluator})
+                     "converged": opt.converged})
         return 0 if opt.converged else 2
     raise ValueError(f"unknown entropy quantity '{args.quantity}'")
 
@@ -355,7 +361,7 @@ def _cmd_codec(args) -> int:
 def _cmd_eta(args) -> int:
     data = load_json(args.parts)
     parts = [pgraph_from_json_dict(d) for d in data]
-    pa = Distribution(tuple(Fraction(p) for p in args.pa.split(",")))
+    pa = Distribution(tuple(_fraction(p) for p in args.pa.split(",")))
     iv, product, k = eta_bounds(parts, pa, max_n=args.max_n)
     payload = _interval_payload("eta", iv)
     payload["k"] = k

@@ -109,18 +109,6 @@ class _HuffmanDecoder:
         raise AmbiguityError("bit stream does not start with a valid codeword")
 
 
-def pack_bits(bits: str) -> bytes:
-    """Big-endian bit packing; the caller must track the bit count."""
-    out = bytearray()
-    for i in range(0, len(bits), 8):
-        out.append(int(bits[i:i + 8].ljust(8, "0"), 2))
-    return bytes(out)
-
-
-def unpack_bits(data: bytes, bit_count: int) -> str:
-    return "".join(f"{b:08b}" for b in data)[:bit_count]
-
-
 # ---------------------------------------------------------------------------
 # variable-length side-information code
 
@@ -339,6 +327,8 @@ class PartialSiCode:
         if len(y_seq) != self.n or not all(0 <= y < self.spec.channel.y_count for y in y_seq):
             raise AmbiguityError(f"side information is not {self.n} channel outputs")
         a_seq = tuple(self.spec.g_map[y] for y in y_seq)
+        if not set(a_seq) <= {self.spec.g_map[y] for _, y, _ in self.spec.joint}:
+            raise AmbiguityError("side information falls in a component of zero weight")
         decoded_parts = {}
         pos = 0
         for a in range(self.spec.component_count):
@@ -455,7 +445,7 @@ def build_channel_code(channel: ChannelSpec, n: int, target: str = "exact") -> C
 
 
 def channel_roundtrip(code: Codebook, channel: ChannelSpec, trials: int,
-                      seed: int = 0) -> int:
+                      seed: int) -> int:
     """Simulate transmissions decoding by unique support-compatibility.
 
     Returns the decoding error count: zero for independent codebooks.  For
@@ -622,7 +612,7 @@ def sum_channels_from_json_dict(d: dict) -> tuple:
         raise ValueError(f"malformed sum spec JSON: {exc}") from exc
 
 
-def sum_channel_roundtrip(code: SumChannelCode, trials: int, seed: int = 0) -> int:
+def sum_channel_roundtrip(code: SumChannelCode, trials: int, seed: int) -> int:
     """Random messages through support-uniform channel noise; error count."""
     rng = SplitMix64(seed)
     m = code.message_count()

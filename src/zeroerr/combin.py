@@ -24,6 +24,8 @@ from .graphs import (
     popcount,
 )
 
+HCHI_EXACT_LIMIT = 18  # most vertices the exact H_chi subset DP takes
+
 
 class _Stop(Exception):
     pass
@@ -551,15 +553,15 @@ def _entropy_of_classes(masses) -> float:
 
 
 def min_entropy_coloring(pg: ProbabilisticGraph, mode: str = "exact",
-                         exact_budget: int = 18, limit: int = 1_000_000) -> HChiResult:
+                         limit: int = 1_000_000) -> HChiResult:
     """Chromatic entropy: min over proper colorings of H(color(X)).
 
     Exact mode is a subset DP, E[S] = min over independent I containing the
     lowest vertex of S of phi(p(I)) + E[S \\ I]; valid because the objective
-    is additive over color classes.  Over budget (or mode="heuristic") falls
-    back to greedily peeling a heaviest maximal independent set of the
-    remaining graph as the next color class; the entropy of that coloring is
-    a flagged upper bound.
+    is additive over color classes.  Above HCHI_EXACT_LIMIT vertices (or
+    with mode="heuristic") it falls back to greedily peeling a heaviest
+    maximal independent set of the remaining graph as the next color class;
+    the entropy of that coloring is a flagged upper bound.
 
     The peel rule, exactly: the mass of a set is the left-to-right float sum
     of its weights in ascending vertex order.  The maximal independent sets
@@ -572,7 +574,7 @@ def min_entropy_coloring(pg: ProbabilisticGraph, mode: str = "exact",
     drop.  `limit` bounds the sets one fill collects, not all of them."""
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode '{mode}'")
-    if mode == "exact" and pg.n <= exact_budget:
+    if mode == "exact" and pg.n <= HCHI_EXACT_LIMIT:
         return _min_entropy_exact(pg)
     return _min_entropy_heuristic(pg, limit)
 

@@ -141,6 +141,8 @@ def graph_from_edges(n: int, edges, labels=None) -> Graph:
     for i, j in edges:
         if i == j:
             raise ValueError(f"self-loop at {i}")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValueError(f"edge ({i},{j}) has an endpoint outside [0, {n})")
         rows[i] |= 1 << j
         rows[j] |= 1 << i
     return Graph(n, tuple(rows), tuple(labels) if labels is not None else None)
@@ -150,9 +152,9 @@ def graph_from_json_dict(d: dict) -> Graph:
     try:
         n = int(d["n"])
         edges = [(int(i), int(j)) for i, j in d.get("edges", [])]
-    except (KeyError, TypeError, ValueError) as exc:
+        return graph_from_edges(n, edges, d.get("labels"))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
-    return graph_from_edges(n, edges, d.get("labels"))
 
 
 @dataclass(frozen=True)
@@ -168,7 +170,7 @@ class Distribution:
         if self.is_rational:
             if total != 1:
                 raise ValueError(f"rational weights sum to {total}, not 1")
-        elif abs(float(total) - 1.0) > WEIGHT_TOL:
+        elif not abs(float(total) - 1.0) <= WEIGHT_TOL:  # NaN fails too
             raise ValueError(f"weights sum to {float(total)}, not 1")
 
     @property
@@ -200,10 +202,13 @@ class Distribution:
 
 
 def distribution_from_json_value(v) -> Distribution:
-    if isinstance(v, dict):
-        den = int(v["den"])
-        return Distribution(tuple(Fraction(int(k), den) for k in v["num"]))
-    return Distribution(tuple(float(x) for x in v))
+    try:
+        if isinstance(v, dict):
+            den = int(v["den"])
+            return Distribution(tuple(Fraction(int(k), den) for k in v["num"]))
+        return Distribution(tuple(float(x) for x in v))
+    except (KeyError, TypeError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"malformed distribution JSON: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -270,7 +275,7 @@ def channel_from_json_dict(d: dict) -> ChannelSpec:
     try:
         support = frozenset((int(x), int(y)) for x, y in d["support"])
         return ChannelSpec(int(d["x_count"]), int(d["y_count"]), support)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed channel JSON: {exc}") from exc
 
 

@@ -1,6 +1,7 @@
 """Convex and numerical solvers: Koerner graph entropy, capacity maximizers,
 sum-of-channels weights, eigenvalue theta for transitive graphs, finite-field
-rank bound.
+rank bound.  Each checks its own precondition (perfect graphs for capacity,
+vertex- and edge-transitive ones for theta); no caller can vouch for one.
 
 Everything is in bits (log base 2).
 """
@@ -8,7 +9,7 @@ Everything is in bits (log base 2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from .combin import mis_masks
 from .symmetry import is_edge_transitive, is_perfect, is_vertex_transitive
 
 LN2 = math.log(2.0)
+CAPACITY_KORNER_TOL = 1e-10  # Koerner tolerance of each capacity evaluation
 
 
 # ---------------------------------------------------------------------------
@@ -34,14 +36,6 @@ class KornerSolution:
     cov: np.ndarray            # cov[x] = sum_{w: x in w} r(w)
     iterations: int
     converged: bool
-    history: list = field(default_factory=list)
-
-    @property
-    def q(self) -> np.ndarray:
-        """q[w, x] = Q(w|x) = r(w) 1[x in w] / c(x), column-stochastic on
-        covered vertices; built on demand, as it is |W| x |X|."""
-        safe_cov = np.where(self.cov > 0, self.cov, 1.0)
-        return (self.r[:, None] * _membership(self.sets, len(self.cov))) / safe_cov[None, :]
 
 
 def _membership(sets, n: int) -> np.ndarray:
@@ -59,9 +53,9 @@ def _korner_iterate(member: np.ndarray, p: np.ndarray, r0: np.ndarray,
     """Fixed-point iteration r <- r * (M @ (P / c)) of the Koerner objective
     J(r) = -sum_x P(x) log2 c(x), c = M^T r, started from r0.
 
-    Returns (r, c, J, iterations, converged, history).  r0 must cover every
-    vertex of positive weight.  Only the support of P enters the division
-    and the logarithm.  A covered support vertex stays covered (the new c(x)
+    Returns (r, c, J, iterations, converged).  r0 must cover every vertex
+    of positive weight.  Only the support of P enters the division and the
+    logarithm.  A covered support vertex stays covered (the new c(x)
     is at least P(x)), so the loop needs no guards.  The products keep the
     full matrix so that their summation order, and hence every bit of the
     result, does not depend on which vertices have zero weight.
@@ -73,7 +67,6 @@ def _korner_iterate(member: np.ndarray, p: np.ndarray, r0: np.ndarray,
     cov = member_t.dot(r)
     ratio = np.zeros(len(p))
     prev = float(-(p_s * np.log2(cov[support])).sum())
-    history = [prev]
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -82,12 +75,11 @@ def _korner_iterate(member: np.ndarray, p: np.ndarray, r0: np.ndarray,
         r /= r.sum()
         cov = member_t.dot(r)
         cur = float(-(p_s * np.log2(cov[support])).sum())
-        history.append(cur)
         converged = prev - cur < tol
         prev = cur
         if converged:
             break
-    return r, cov, prev, iterations, converged, history
+    return r, cov, prev, iterations, converged
 
 
 def _korner_gap(member: np.ndarray, p: np.ndarray, cov: np.ndarray) -> float:
@@ -121,43 +113,42 @@ def korner_entropy(pg: ProbabilisticGraph, tol: float = 1e-9,
     sets = mis_masks(pg.graph)
     member = _membership(sets, pg.n)
     p = np.array([float(x) for x in pg.dist.weights])
-    r, cov, value, iterations, converged, history = _korner_iterate(
+    r, cov, value, iterations, converged = _korner_iterate(
         member, p, np.full(len(sets), 1.0 / len(sets)), tol, max_iter)
-    return KornerSolution(max(value, 0.0), sets, r, cov, iterations, converged, history)
+    return KornerSolution(max(value, 0.0), sets, r, cov, iterations, converged)
 
 
 @dataclass(frozen=True)
 class CapacityValue:
     value: float
     korner: KornerSolution
-    perfect_assumed: bool
 
 
-def relative_capacity_perfect(pg: ProbabilisticGraph, assume_perfect: bool = False,
-                              tol: float = 1e-9) -> CapacityValue:
+def _require_perfect(g: Graph) -> None:
+    """C(G,P) = H(P) - H_kappa(G,P) holds on perfect graphs only."""
+    perfect, _, _ = is_perfect(g)
+    if not perfect:
+        raise ZeroErrError("graph is not perfect; relative capacity formula "
+                           "H(P) - H_kappa does not apply")
+
+
+def relative_capacity_perfect(pg: ProbabilisticGraph, tol: float = 1e-9) -> CapacityValue:
     """Zero-error capacity relative to the vertex distribution, exact for
-    perfect graphs: H(P) - Koerner entropy.
-
-    Refuses when perfectness is not established and not asserted by the
-    caller; an asserted perfectness is recorded in the result.
+    perfect graphs: H(P) - Koerner entropy.  Refuses graphs that are not
+    perfect.
     """
-    assumed = bool(assume_perfect)
-    if not assume_perfect:
-        perfect, _, _ = is_perfect(pg.graph)
-        if not perfect:
-            raise ZeroErrError("graph is not perfect; relative capacity formula "
-                               "H(P) - H_kappa does not apply")
+    _require_perfect(pg.graph)
     sol = korner_entropy(pg, tol)
-    return CapacityValue(pg.dist.entropy() - sol.value, sol, assumed)
+    return CapacityValue(pg.dist.entropy() - sol.value, sol)
 
 
 # ---------------------------------------------------------------------------
 # capacity-achieving distribution by mirror ascent
 
 
-def perfect_capacity_evaluator(g: Graph, assume_perfect: bool = False,
-                               tol: float = 1e-10):
-    """Evaluator P -> (C(G,P), supergradient) for perfect graphs.
+def perfect_capacity_evaluator(g: Graph):
+    """Evaluator P -> (C(G,P), supergradient) for perfect graphs; refuses
+    graphs that are not perfect.
 
     Supergradient component for vertex x: -log P(x) - 1/ln 2 - D(Q*(.|x)||r*),
     from the envelope theorem on the inner minimization.  With
@@ -170,20 +161,17 @@ def perfect_capacity_evaluator(g: Graph, assume_perfect: bool = False,
     that every vertex is covered.  A warm start can still stall near a face
     of the simplex where a set the new P needs has almost no mass, so the
     warm result is kept only when the gap of `_korner_gap` certifies it
-    within sqrt(tol) bits; otherwise the evaluation is redone from the
-    uniform r, as `korner_entropy` starts.
+    within sqrt(CAPACITY_KORNER_TOL) bits; otherwise the evaluation is
+    redone from the uniform r, as `korner_entropy` starts.
 
     The evaluator is therefore stateful: the same P can give results that
     differ within the Koerner tolerance depending on the earlier calls.
     Use a fresh evaluator for each optimisation that must be reproducible.
     """
-    if not assume_perfect:
-        perfect, _, _ = is_perfect(g)
-        if not perfect:
-            raise ZeroErrError("graph is not perfect; supply a custom evaluator")
-    member = _membership(mis_masks(g, 1_000_000), g.n)
+    _require_perfect(g)
+    member = _membership(mis_masks(g), g.n)
     uniform = np.full(len(member), 1.0 / len(member))
-    gap_limit = math.sqrt(tol)
+    gap_limit = math.sqrt(CAPACITY_KORNER_TOL)
     r = None
 
     def evaluate(weights):
@@ -192,9 +180,10 @@ def perfect_capacity_evaluator(g: Graph, assume_perfect: bool = False,
         p = np.array([float(x) for x in weights])
         sol = None
         if r is not None:
-            sol = _korner_iterate(member, p, np.maximum(r, 1e-100), tol, 100_000)
+            sol = _korner_iterate(member, p, np.maximum(r, 1e-100),
+                                  CAPACITY_KORNER_TOL, 100_000)
         if sol is None or _korner_gap(member, p, sol[1]) > gap_limit:
-            sol = _korner_iterate(member, p, uniform, tol, 100_000)
+            sol = _korner_iterate(member, p, uniform, CAPACITY_KORNER_TOL, 100_000)
         r, cov, kappa = sol[:3]
         value = pg.dist.entropy() - max(kappa, 0.0)
         log_p = np.full(g.n, -60.0)
@@ -211,22 +200,18 @@ class CapacityOptimum:
     dist: Distribution
     value: float
     converged: bool
-    exact_evaluator: bool
     iterations: int
 
 
-def capacity_achieving_distribution(g: Graph, evaluator=None, tol: float = 1e-5,
-                                    max_iter: int = 2000,
-                                    exact_evaluator: bool = True) -> CapacityOptimum:
-    """Maximize P -> C(G,P) on the simplex by exponentiated gradient ascent.
+def capacity_achieving_distribution(g: Graph, tol: float = 1e-5,
+                                    max_iter: int = 2000) -> CapacityOptimum:
+    """Maximize P -> C(G,P) on the simplex by exponentiated gradient ascent,
+    for perfect graphs; refuses graphs that are not perfect.
 
     The problem is concave, so supergradient stationarity within `tol`
-    certifies global optimality of the value.  When a custom evaluator only
-    lower-bounds C(G,P), pass exact_evaluator=False; the result is then
-    labeled a lower bound on C0.
+    certifies global optimality of the value.
     """
-    if evaluator is None:
-        evaluator = perfect_capacity_evaluator(g)
+    evaluator = perfect_capacity_evaluator(g)
     n = g.n
     p = np.full(n, 1.0 / n)
     best_val, best_p = -math.inf, p.copy()
@@ -246,7 +231,7 @@ def capacity_achieving_distribution(g: Graph, evaluator=None, tol: float = 1e-5,
         p = np.exp2(logits)
         p /= p.sum()
     return CapacityOptimum(Distribution(tuple(float(x) for x in best_p)),
-                           best_val, converged, exact_evaluator, iterations)
+                           best_val, converged, iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -303,13 +288,13 @@ def jacobi_eigenvalues(matrix: np.ndarray, off_threshold: float = 1e-12,
     return np.sort(np.diag(a))
 
 
-def theta_transitive(g: Graph, assume_transitive: bool = False) -> float:
+def theta_transitive(g: Graph) -> float:
     """Lovasz number for regular vertex- and edge-transitive graphs via the
     eigenvalue formula theta = n (-lambda_min) / (d - lambda_min).
 
     log2 of the result is a certified upper bound on the zero-error capacity
-    under the stated precondition.  Refuses non-regular inputs; transitivity
-    is either verified (n <= 32) or asserted by the caller.
+    under the stated precondition.  Refuses graphs that are not regular,
+    vertex-transitive and edge-transitive.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -318,11 +303,10 @@ def theta_transitive(g: Graph, assume_transitive: bool = False) -> float:
     d = g.degree(0)
     if d == 0:
         return float(g.n)
-    if not assume_transitive:
-        if not is_vertex_transitive(g):
-            raise ZeroErrError("graph is not vertex-transitive")
-        if not is_edge_transitive(g):
-            raise ZeroErrError("graph is not edge-transitive")
+    if not is_vertex_transitive(g):
+        raise ZeroErrError("graph is not vertex-transitive")
+    if not is_edge_transitive(g):
+        raise ZeroErrError("graph is not edge-transitive")
     adj = np.zeros((g.n, g.n))
     for i in range(g.n):
         for j in bits_of(g.rows[i]):
@@ -372,7 +356,7 @@ class FiniteFieldMatrix:
 def matrix_from_json_dict(d: dict) -> FiniteFieldMatrix:
     try:
         return FiniteFieldMatrix(int(d["p"]), tuple(tuple(int(v) for v in r) for r in d["rows"]))
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, OverflowError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
 
 

@@ -23,6 +23,7 @@ from .graphs import (
 from .rng import SplitMix64
 
 ENUM_LIMIT = 1 << 24  # most typical sequences `members` materializes
+TYPE_SPLIT_TOL = 1e-9  # largest mismatch `type_split` allows per symbol
 
 
 @dataclass(frozen=True)
@@ -200,10 +201,10 @@ def _as_fraction(x) -> Fraction:
 
 
 def type_split(seq, beta, p1: Distribution, p2: Distribution,
-               seed: int = 0, tol: float = 1e-9) -> TypeSplit:
+               seed: int = 0) -> TypeSplit:
     """Split a sequence into subsequences of prescribed types.
 
-    Requires T_seq = beta*p1 + (1-beta)*p2 (within tol).  When beta*n*p1(a)
+    Requires T_seq = beta*p1 + (1-beta)*p2 (within TYPE_SPLIT_TOL).  When beta*n*p1(a)
     is integral for every symbol, a deterministic greedy assignment achieves
     the target types exactly (first occurrences go to the first part).
     Otherwise each position is assigned to part one with probability
@@ -218,7 +219,7 @@ def type_split(seq, beta, p1: Distribution, p2: Distribution,
     n = t.n
     for a in range(k):
         mix = float(beta) * float(p1[a]) + (1.0 - float(beta)) * float(p2[a])
-        if abs(t.counts[a] / n - mix) > tol:
+        if abs(t.counts[a] / n - mix) > TYPE_SPLIT_TOL:
             raise ValueError(f"sequence type does not match beta*p1+(1-beta)*p2 at symbol {a}")
 
     fb = _as_fraction(beta)

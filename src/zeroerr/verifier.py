@@ -63,13 +63,13 @@ from .rng import SplitMix64
 
 LOG2_5 = math.log2(5.0)
 HALF_LOG2_5 = 0.5 * LOG2_5
+KORNER_TOL = 1e-11  # Koerner tolerance of every scenario
 
 
 @dataclass(frozen=True)
 class VerifyConfig:
     seed: int = 2024
     trials: int = 2000
-    korner_tol: float = 1e-11
     haemers_matrix: object = None   # optional user FiniteFieldMatrix for S-bar
     tags: tuple = ()
     threads: int = 1                # accepted knob; execution stays sequential
@@ -183,7 +183,7 @@ def _sc_full_support(cfg):
                     g.edge_count() == 6, g.edge_count(), 6, 0)]
     hchi = min_entropy_coloring(ProbabilisticGraph(g, p))
     checks.append(_close("H_chi(K4,P)=H(P)", hchi.value, p.entropy(), 1e-9))
-    iv = hbar_bounds(ProbabilisticGraph(g, p), max_n=1, korner_tol=cfg.korner_tol)
+    iv = hbar_bounds(ProbabilisticGraph(g, p), max_n=1, korner_tol=KORNER_TOL)
     checks.append(_close("hbar(K4,P) lo=H(P)", iv.lo, p.entropy(), 1e-6))
     checks.append(_close("hbar(K4,P) hi=H(P)", iv.hi, p.entropy(), 1e-6))
     return checks
@@ -227,9 +227,9 @@ def _sc_perfect_family(cfg):
         _pg(empty(2), (f(3, 5), f(2, 5))),
     ]
     pa = Distribution((f(1, 2), f(1, 4), f(1, 4)))
-    kappas = [korner_entropy(pg, cfg.korner_tol).value for pg in parts]
+    kappas = [korner_entropy(pg, KORNER_TOL).value for pg in parts]
     union, _ = disjoint_union(parts, pa)
-    iv = hbar_bounds(union, max_n=1, korner_tol=cfg.korner_tol)
+    iv = hbar_bounds(union, max_n=1, korner_tol=KORNER_TOL)
     target_union = sum(float(pa[a]) * kappas[a] for a in range(3))
     checks = [
         _close("hbar(union) = sum P_A H_kappa", iv.midpoint, target_union, 1e-6),
@@ -238,7 +238,7 @@ def _sc_perfect_family(cfg):
     prod = and_product(parts[0], parts[1])
     ok, _, _ = is_perfect(prod.graph)
     checks.append(_true("product of this perfect pair is perfect", ok))
-    ivp = hbar_bounds(prod, max_n=1, korner_tol=cfg.korner_tol)
+    ivp = hbar_bounds(prod, max_n=1, korner_tol=KORNER_TOL)
     checks.append(_close("hbar(product) = sum H_kappa", ivp.midpoint,
                          kappas[0] + kappas[1], 1e-6))
     checks.append(_leq("hbar(product) width", ivp.width, 1e-6))
@@ -253,13 +253,13 @@ def _sc_subfamily_closure(cfg):
         _pg(path(3), (f(1, 4), f(1, 2), f(1, 4))),
         _pg(empty(2), (f(3, 5), f(2, 5))),
     ]
-    kappas = [korner_entropy(pg, cfg.korner_tol).value for pg in parts]
+    kappas = [korner_entropy(pg, KORNER_TOL).value for pg in parts]
     checks = []
     for i in range(3):
         for j in range(i + 1, 3):
             pa = Distribution((f(1, 3), f(2, 3)))
             union, _ = disjoint_union([parts[i], parts[j]], pa)
-            iv = hbar_bounds(union, max_n=1, korner_tol=cfg.korner_tol)
+            iv = hbar_bounds(union, max_n=1, korner_tol=KORNER_TOL)
             target = float(pa[0]) * kappas[i] + float(pa[1]) * kappas[j]
             checks.append(_close(f"subfamily ({i},{j}) union linearizes",
                                  iv.midpoint, target, 1e-6))
@@ -313,11 +313,11 @@ def _sc_marton(cfg):
         g = sample_perfect_graph(rng, 3, 8)
         p = random_distribution(rng, g.n)
         pg = ProbabilisticGraph(g, p)
-        hbar = hbar_bounds(pg, korner_tol=cfg.korner_tol)
-        crel = c_rel_bounds(pg, korner_tol=cfg.korner_tol)
+        hbar = hbar_bounds(pg, korner_tol=KORNER_TOL)
+        crel = c_rel_bounds(pg, korner_tol=KORNER_TOL)
         checks.append(_close(f"marton identity on perfect sample #{k}",
                              hbar.midpoint + crel.midpoint, p.entropy(), 1e-6))
-    crel5 = c_rel_bounds(uniform_pgraph(cycle(5)), max_n=2, korner_tol=cfg.korner_tol)
+    crel5 = c_rel_bounds(uniform_pgraph(cycle(5)), max_n=2, korner_tol=KORNER_TOL)
     checks.append(_close("C(C5,U) = half log 5 (pentagon, non-perfect)",
                          crel5.midpoint, HALF_LOG2_5, 1e-6))
     checks.append(_leq("C(C5,U) width", crel5.width, 1e-6))
@@ -343,7 +343,7 @@ def _sc_product_marginals(cfg):
                 m2[i2] += w
         prod_dist = Distribution(tuple(a * b for a in m1 for b in m2))
         val = relative_capacity_perfect(
-            ProbabilisticGraph(prod, prod_dist), tol=cfg.korner_tol).value
+            ProbabilisticGraph(prod, prod_dist), tol=KORNER_TOL).value
         checks.append(_close(f"marginal product attains the optimum #{k}",
                              val, opt.value, 2e-4))
     return checks
@@ -389,7 +389,7 @@ def _sc_union_capacity_split(cfg):
     pa, value = sum_channel_weights([c01.midpoint, c02.midpoint])
     union, _ = disjoint_union(
         [uniform_pgraph(g1), uniform_pgraph(g2)], pa)
-    crel = c_rel_bounds(union, korner_tol=cfg.korner_tol)
+    crel = c_rel_bounds(union, korner_tol=KORNER_TOL)
     return [
         _close("P*_A(0) = 3/4", float(pa[0]), 0.75, 1e-12),
         _close("C(union,P*) = log(2^c0+2^c0')", crel.midpoint, value, 1e-6),
@@ -404,8 +404,8 @@ def _sc_perfect_collapse(cfg):
         g = sample_perfect_graph(rng, 3, 9)
         p = random_distribution(rng, g.n)
         pg = ProbabilisticGraph(g, p)
-        hbar = hbar_bounds(pg, korner_tol=cfg.korner_tol)
-        kap = korner_entropy(pg, cfg.korner_tol).value
+        hbar = hbar_bounds(pg, korner_tol=KORNER_TOL)
+        kap = korner_entropy(pg, KORNER_TOL).value
         c0 = c0_bounds(g)
         a = alpha_exact(g)
         _require_exact(a.exact, "alpha on a perfect sample")
@@ -448,10 +448,9 @@ def _sc_c6c8(cfg):
     checks.append(_leq("c0(C6^C8) width", iv.width, 1e-9))
     # Hbar of the product at uniform: equals H_kappa(C6)+H_kappa(C8) = 2 bits
     pgp = and_product(uniform_pgraph(c6), uniform_pgraph(c8))
-    hbar = hbar_bounds(pgp, korner_tol=cfg.korner_tol,
-                       factors=[c6, c8])
-    k6 = korner_entropy(uniform_pgraph(c6), cfg.korner_tol).value
-    k8 = korner_entropy(uniform_pgraph(c8), cfg.korner_tol).value
+    hbar = hbar_bounds(pgp, korner_tol=KORNER_TOL, factors=[c6, c8])
+    k6 = korner_entropy(uniform_pgraph(c6), KORNER_TOL).value
+    k8 = korner_entropy(uniform_pgraph(c8), KORNER_TOL).value
     checks.append(_close("hbar(C6^C8, U) = H_k(C6)+H_k(C8)", hbar.midpoint,
                          k6 + k8, 1e-4))
     checks.append(_leq("hbar(C6^C8, U) width", hbar.width, 1e-4))
@@ -463,20 +462,19 @@ def _sc_c5_with_perfect(cfg):
     # single-letter target values
     c5u = uniform_pgraph(cycle(5))
     g = cycle(6)
-    kg = korner_entropy(uniform_pgraph(g), cfg.korner_tol).value
+    kg = korner_entropy(uniform_pgraph(g), KORNER_TOL).value
     s = 0.5
     union, _ = disjoint_union([c5u, uniform_pgraph(g)],
                               Distribution((Fraction(1, 2), Fraction(1, 2))))
     target_union = s * HALF_LOG2_5 + (1 - s) * kg
-    iv = hbar_bounds(union, max_n=1, korner_tol=cfg.korner_tol)
+    iv = hbar_bounds(union, max_n=1, korner_tol=KORNER_TOL)
     checks = [
         _leq("hbar(C5 u G) lo <= s/2 log5 + (1-s) H_kappa", iv.lo, target_union),
         _leq("hbar(C5 u G) hi >= target", target_union, iv.hi),
     ]
     prod = and_product(uniform_pgraph(g), c5u)
     target_prod = kg + HALF_LOG2_5
-    ivp = hbar_bounds(prod, max_n=1, korner_tol=cfg.korner_tol,
-                      factors=[g, cycle(5)])
+    ivp = hbar_bounds(prod, max_n=1, korner_tol=KORNER_TOL, factors=[g, cycle(5)])
     checks.append(_leq("hbar(G ^ C5) lo <= H_kappa + half log 5", ivp.lo, target_prod))
     checks.append(_leq("hbar(G ^ C5) hi >= target", target_prod, ivp.hi))
     return checks
@@ -528,15 +526,14 @@ def _sc_vertex_transitive(cfg):
     # uniform is capacity-achieving on vertex-transitive graphs
     g = cycle(6)
     opt = capacity_achieving_distribution(g, tol=1e-6, max_iter=4000)
-    val_uniform = relative_capacity_perfect(uniform_pgraph(g),
-                                            tol=cfg.korner_tol).value
+    val_uniform = relative_capacity_perfect(uniform_pgraph(g), tol=KORNER_TOL).value
     checks = [
         _close("optimizer value = log 3 on C6", opt.value, math.log2(3), 1e-4),
         _close("uniform attains the optimum on C6", val_uniform, opt.value, 1e-4),
     ]
     # Schlafli: C(S, U) pins C0(S) through the pipelines
     s = catalog_get("schlafli")
-    crel = c_rel_bounds(uniform_pgraph(s), korner_tol=cfg.korner_tol)
+    crel = c_rel_bounds(uniform_pgraph(s), korner_tol=KORNER_TOL)
     checks.append(_close("C(S,U) = log 3", crel.midpoint, math.log2(3), 1e-3))
     checks.append(_leq("C(S,U) width", crel.width, 1e-3))
     return checks
@@ -674,8 +671,8 @@ def _sc_marton_union(cfg):
                                             Distribution.uniform(n)))
         pa = Distribution((f(1, 3), f(2, 3)))
         union, _ = disjoint_union(parts, pa)
-        hbar = hbar_bounds(union, korner_tol=cfg.korner_tol)
-        crel = c_rel_bounds(union, korner_tol=cfg.korner_tol)
+        hbar = hbar_bounds(union, korner_tol=KORNER_TOL)
+        crel = c_rel_bounds(union, korner_tol=KORNER_TOL)
         target = pa.entropy() + sum(float(pa[a]) * parts[a].dist.entropy()
                                     for a in range(2))
         ok = (hbar.lo + crel.lo <= target + 1e-9) and (target <= hbar.hi + crel.hi + 1e-9)
@@ -688,7 +685,7 @@ def _sc_eta(cfg):
     f = Fraction
     k2u = uniform_pgraph(complete(2))
     iv, prod, k = eta_bounds([k2u, k2u], Distribution((f(1, 2), f(1, 2))),
-                             korner_tol=cfg.korner_tol)
+                             korner_tol=KORNER_TOL)
     checks = [
         _close("eta(K2,K2;1/2) = 1 bit", iv.midpoint, 1.0, 1e-9),
         _leq("eta width", iv.width, 1e-9),
@@ -696,8 +693,8 @@ def _sc_eta(cfg):
     # perfect family with non-uniform rational P_A
     parts = [_pg(complete(2), (f(1, 3), f(2, 3))), _pg(empty(2), (f(1, 4), f(3, 4)))]
     pa = Distribution((f(2, 3), f(1, 3)))
-    kappas = [korner_entropy(p, cfg.korner_tol).value for p in parts]
-    iv, prod, k = eta_bounds(parts, pa, korner_tol=cfg.korner_tol)
+    kappas = [korner_entropy(p, KORNER_TOL).value for p in parts]
+    iv, prod, k = eta_bounds(parts, pa, korner_tol=KORNER_TOL)
     target = sum(float(pa[a]) * kappas[a] for a in range(2))
     ok_perfect, _, _ = is_perfect(prod.graph)
     checks.append(_true("product of powers is perfect", ok_perfect))
@@ -707,8 +704,8 @@ def _sc_eta(cfg):
     # general family with the pentagon: containment only
     parts = [uniform_pgraph(cycle(5)), _pg(complete(2), (f(1, 2), f(1, 2)))]
     pa = Distribution((f(1, 2), f(1, 2)))
-    iv, prod, k = eta_bounds(parts, pa, korner_tol=cfg.korner_tol)
-    upper = sum(float(pa[a]) * korner_entropy(parts[a], cfg.korner_tol).value
+    iv, prod, k = eta_bounds(parts, pa, korner_tol=KORNER_TOL)
+    upper = sum(float(pa[a]) * korner_entropy(parts[a], KORNER_TOL).value
                 for a in range(2))
     cover_sum = sum(clique_cover_number(p.graph).count for p in parts)
     h_mix = pa.entropy() + sum(float(pa[a]) * parts[a].dist.entropy() for a in range(2))
@@ -726,11 +723,11 @@ def _sc_witsenhausen(cfg):
         n = 3 + rng.randrange(4)
         g = random_graph(rng, n, 0.5)
         p = random_distribution(rng, n)
-        hbar = hbar_bounds(ProbabilisticGraph(g, p), korner_tol=cfg.korner_tol)
+        hbar = hbar_bounds(ProbabilisticGraph(g, p), korner_tol=KORNER_TOL)
         h0 = h0_bounds(g)
         checks.append(_leq(f"hbar hi <= h0 hi #{k}", hbar.hi, h0.hi))
     h0c5 = h0_bounds(cycle(5), max_n=2)
-    hbarc5 = hbar_bounds(uniform_pgraph(cycle(5)), max_n=2, korner_tol=cfg.korner_tol)
+    hbarc5 = hbar_bounds(uniform_pgraph(cycle(5)), max_n=2, korner_tol=KORNER_TOL)
     checks.append(_leq("pentagon: hbar(U) hi <= h0 hi", hbarc5.hi, h0c5.hi))
     checks.append(_close("h0(C5) hi = half log 5 at n=2", h0c5.hi, HALF_LOG2_5, 1e-9))
     return checks
@@ -770,7 +767,7 @@ def _sc_codec_partial(cfg):
     kappas = [korner_entropy(
         ProbabilisticGraph(
             graph_from_edges(2, [(0, 1)] if a == 0 else []),
-            spec.component_dist(a)), cfg.korner_tol).value for a in (0, 1)]
+            spec.component_dist(a)), KORNER_TOL).value for a in (0, 1)]
     target = sum(spec.component_weight(a) * kappas[a] for a in (0, 1))
     slack = 2.0 / 3.0 + 1.0 / 6.0 + 1.0   # finite-n flag/huffman/escape slack
     checks.append(_leq("partial-SI rate within single-letter target + slack",

@@ -254,6 +254,33 @@ def test_tol_bits_must_be_positive_and_finite(tmp_path, capsys):
                  "--tol-bits must be positive and finite")
 
 
+def test_malformed_inputs_are_errors(tmp_path, capsys):
+    def write(name, doc):
+        path = tmp_path / name
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    _refused(capsys, ["bounds", "c0", "--graph", write("g.json", {"n": 2, "edges": [[0, 5]]})],
+             "malformed graph JSON: edge (0,5) has an endpoint outside [0, 2)")
+    _refused(capsys, ["graph", "build", "--n", "2", "--edges", "0-5"], "edge (0,5)")
+    for dist in ({"num": [1, 1]}, {"num": [1, 1], "den": 0}):
+        pg = write("pg.json", {"n": 2, "edges": [], "dist": dist})
+        _refused(capsys, ["entropy", "kappa", "--graph", pg], "malformed distribution JSON")
+    k3 = write("k3.json", {"n": 3, "edges": [[0, 1], [1, 2], [0, 2]]})
+    _refused(capsys, ["solve", "hchi", "--graph", k3, "--dist", "1/0,1/1,1/1"],
+             "zero denominator")
+    parts = write("parts.json", [{"n": 1, "edges": [], "dist": [1.0]}] * 2)
+    _refused(capsys, ["eta", "--parts", parts, "--pa", "1/0,1/1"], "zero denominator")
+
+
+def test_entropy_capdist_payload_keys(tmp_path, capsys):
+    g = tmp_path / "p3.json"
+    run(capsys, "graph", "build", "--n", "3", "--edges", "0-1,1-2", "--out", str(g))
+    code, stdout, _ = run(capsys, "entropy", "capdist", "--graph", str(g))
+    assert code == 0
+    assert sorted(json.loads(stdout)) == ["capacity_bits", "converged", "distribution"]
+
+
 def test_time_budget_out_of_range_is_an_error(tmp_path, capsys):
     # a zero interval would disarm the timer, so 0 must not mean "no limit";
     # above 10^12 ms the timer itself overflows

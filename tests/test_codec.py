@@ -31,7 +31,6 @@ from zeroerr.codec import (
     huffman_code,
     is_prefix_free,
     kraft_sum,
-    pack_bits,
     partial_si_roundtrip,
     partial_si_spec_from_json_dict,
     sample_joint,
@@ -40,7 +39,6 @@ from zeroerr.codec import (
     si_simulate,
     sum_channel_roundtrip,
     sum_channels_from_json_dict,
-    unpack_bits,
     verify_codebook,
     words_confusable,
 )
@@ -75,13 +73,6 @@ def test_huffman_basic_properties():
 def test_huffman_deterministic():
     w = [0.25, 0.25, 0.25, 0.25]
     assert huffman_code(w) == huffman_code(list(w))
-
-
-def test_bit_packing_roundtrip():
-    rng = SplitMix64(5)
-    for _ in range(10):
-        bits = "".join("01"[rng.randrange(2)] for _ in range(rng.randrange(40)))
-        assert unpack_bits(pack_bits(bits), len(bits)) == bits
 
 
 # --- side information codec ---------------------------------------------------
@@ -235,6 +226,12 @@ def _partial_spec():
     chan = ChannelSpec(2, 4, support)
     joint = tuple((x, y, 0.125 if y < 2 else 0.25) for x, y in sorted(support))
     return PartialSideInfoSpec(chan, (0, 0, 1, 1), joint)
+
+
+def _partial_spec_with_a_weightless_component():
+    # outputs 2 and 3 map to component 1, which the joint weights never reach
+    return PartialSideInfoSpec(_partial_spec().channel, (0, 0, 1, 1),
+                               ((0, 0, 0.5), (1, 1, 0.5)))
 
 
 def test_partial_si_roundtrips():
@@ -397,7 +394,9 @@ def test_decoders_reject_wrong_lengths_and_out_of_range_symbols():
              lambda: b3.decode(ch3, (0, 0)),
              lambda: sc.decode_outputs(((5, 0), (0, 0))),
              lambda: psi.decode((7, 0), "00"),
-             lambda: psi.decode((-1, 0), "00")]    # not g_map[-1]
+             lambda: psi.decode((-1, 0), "00"),    # not g_map[-1]
+             lambda: build_partial_si_code(
+                 _partial_spec_with_a_weightless_component(), 2, 0.5).decode((2, 3), "00")]
     for call in calls:
         with pytest.raises(AmbiguityError):
             call()
@@ -419,7 +418,9 @@ def _fuzz_codes():
     book = build_channel_code(chan, 2)
     ch3 = ChannelSpec(3, 3, frozenset((x, x) for x in range(3)))
     sc = build_sum_channel_code([ch3, chan], [build_channel_code(ch3, 1), book], (2, 1))
-    return chan, rows, si, book, sc, build_partial_si_code(_partial_spec(), 3, 0.5)
+    psis = (build_partial_si_code(_partial_spec(), 3, 0.5),
+            build_partial_si_code(_partial_spec_with_a_weightless_component(), 2, 0.5))
+    return chan, rows, si, book, sc, psis
 
 
 @settings(derandomize=True, deadline=None, max_examples=150, database=None)
@@ -429,7 +430,7 @@ def test_decoders_return_a_valid_decode_or_raise_ambiguity(seed, edits):
     # each decoder gets what its encoder sent and the channel put out, after
     # edits (target, position, value) that replace, append or drop (-2) an
     # item: wrong lengths, foreign bits and out-of-range symbols
-    chan, rows, si, book, sc, psi = _fuzz_codes()
+    chan, rows, si, book, sc, psis = _fuzz_codes()
     rng = SplitMix64(seed)
 
     def edited(target, seq, piece):
@@ -470,14 +471,15 @@ def test_decoders_return_a_valid_decode_or_raise_ambiguity(seed, edits):
                    for (a, s), (b, y) in zip(sent, letters))
     except AmbiguityError:
         pass
-    xs, ys = sample_joint(psi.spec, 3, rng)
-    bits = "".join(edited(4, psi.encode(xs, [psi.spec.g_map[y] for y in ys]), bit))
-    ys = edited(5, ys, int)
-    try:
-        got = psi.decode(ys, bits)
-        assert len(got) == len(ys) == 3 and all(0 <= s < 2 for s in got)
-    except AmbiguityError:
-        pass
+    for psi in psis:
+        xs, ys = sample_joint(psi.spec, psi.n, rng)
+        bits = "".join(edited(4, psi.encode(xs, [psi.spec.g_map[y] for y in ys]), bit))
+        ys = edited(5, ys, int)
+        try:
+            got = psi.decode(ys, bits)
+            assert len(got) == len(ys) == psi.n and all(0 <= s < 2 for s in got)
+        except AmbiguityError:
+            pass
 
 
 # --- shifted codebooks ------------------------------------------------------------

@@ -543,7 +543,7 @@ def test_hchi_heuristic_mis_limit_still_raises():
 
 def test_hchi_downgrades_over_budget():
     g = and_power_graph(cycle(5), 2)
-    res = min_entropy_coloring(uniform_pgraph(g), "exact", exact_budget=18)
+    res = min_entropy_coloring(uniform_pgraph(g), "exact")
     assert not res.exact  # 25 vertices: automatic heuristic fallback
     assert res.value == pytest.approx(math.log2(5))  # diagonal tiling found
 

@@ -1,9 +1,11 @@
 """Graph core: types, constructions, catalog, index algebra, file formats."""
 
+import copy
 import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zeroerr.graphs import (
     Budget,
@@ -32,6 +34,7 @@ from zeroerr.graphs import (
     pgraph_from_json_dict,
     uniform_pgraph,
 )
+from zeroerr.numopt import matrix_from_json_dict
 from zeroerr.symmetry import graph_isomorphic
 
 
@@ -238,6 +241,64 @@ def test_json_roundtrip():
     assert back.support == chan.support
     with pytest.raises(ValueError, match="malformed"):
         graph_from_json_dict({"edges": []})
+    with pytest.raises(ValueError, match="outside"):
+        graph_from_json_dict({"n": 2, "edges": [[0, 5]]})
+    with pytest.raises(ValueError, match="outside"):
+        graph_from_edges(3, [(-1, 2)])
+    for dist in ({"num": [1, 1]}, {"num": [1, 1], "den": 0}):
+        with pytest.raises(ValueError, match="malformed distribution JSON"):
+            pgraph_from_json_dict({"n": 2, "edges": [], "dist": dist})
+    with pytest.raises(ValueError, match="not 1"):
+        pgraph_from_json_dict({"n": 1, "edges": [], "dist": [float("nan")]})
+
+
+LOADER_DOCS = [
+    (graph_from_json_dict, {"n": 3, "edges": [[0, 1], [1, 2]], "labels": ["a", "b", "c"]}),
+    (pgraph_from_json_dict, {"n": 3, "edges": [[0, 1]], "dist": {"num": [1, 1, 2], "den": 4}}),
+    (pgraph_from_json_dict, {"n": 2, "edges": [[0, 1]], "dist": [0.25, 0.75]}),
+    (channel_from_json_dict, {"x_count": 2, "y_count": 2, "support": [[0, 0], [1, 0], [1, 1]]}),
+    (matrix_from_json_dict, {"p": 3, "rows": [[1, 0], [2, 1]]}),
+]
+# JSON values an edit puts in place of one item (json.load reads NaN and
+# Infinity too); an index past the end deletes the item
+EDIT_VALUES = [None, True, -1, 0, 1, 2, 7, 0.5, float("nan"), float("inf"), "x", "1/2",
+               [], [0, 1], [[0, 9]], [[0, 0]], {}, {"num": [1], "den": 0}, {"den": 1}]
+
+
+def _slots(doc, path=()):
+    """Paths to every item of a JSON document, the document itself first."""
+    yield path
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _slots(value, path + (key,))
+
+
+@settings(derandomize=True, deadline=None, max_examples=200, database=None)
+@given(which=st.integers(0, len(LOADER_DOCS) - 1), edits=st.lists(st.tuples(
+    st.integers(0, 30), st.integers(0, len(EDIT_VALUES))), min_size=1, max_size=3))
+def test_json_loaders_return_a_value_or_raise_value_error(which, edits):
+    # each edit (slot, value) replaces or deletes one item of a valid document
+    loader, doc = LOADER_DOCS[which]
+    doc = copy.deepcopy(doc)
+    for slot, value in edits:
+        paths = list(_slots(doc))
+        path = paths[slot % len(paths)]
+        new = copy.deepcopy(EDIT_VALUES[value]) if value < len(EDIT_VALUES) else None
+        if not path:
+            doc = new
+            continue
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value < len(EDIT_VALUES):
+            parent[path[-1]] = new
+        else:
+            del parent[path[-1]]
+    try:
+        loader(doc)
+    except (ValueError, ZeroErrError):
+        pass
 
 
 def test_product_commutative_associative_up_to_iso():

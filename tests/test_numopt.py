@@ -1,5 +1,6 @@
 """Koerner entropy, capacity optimization, theta, finite-field rank."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from zeroerr.graphs import (
     path,
     uniform_pgraph,
 )
+from zeroerr import numopt
 from zeroerr.combin import alpha_exact
 from zeroerr.numopt import (
     FiniteFieldMatrix,
@@ -67,17 +69,22 @@ def test_korner_solution_invariants():
     for _ in range(5):
         g = random_graph(rng, 4 + rng.randrange(4), 0.4)
         pg = ProbabilisticGraph(g, random_distribution(rng, g.n))
-        sol = korner_entropy(pg, tol=1e-11)
-        # objective non-increasing, iteration by iteration
-        assert all(sol.history[i + 1] <= sol.history[i] + 1e-12
-                   for i in range(len(sol.history) - 1))
-        # per-x conditionals are simplices supported on sets containing x
-        col_sums = sol.q.sum(axis=0)
-        assert np.all(np.abs(col_sums - 1.0) < 1e-9)
-        for k, mask in enumerate(sol.sets):
-            for x in range(g.n):
-                if not (mask >> x) & 1:
-                    assert sol.q[k, x] == 0.0
+        tol = 1e-11
+        sol = korner_entropy(pg, tol)
+        # objective non-increasing, iteration by iteration: one-step kernel
+        # runs chained from the uniform r retrace the solver's loop, as each
+        # recomputes the coverage from r
+        member = numopt._membership(sol.sets, g.n)
+        p = np.array([float(x) for x in pg.dist.weights])
+        r = np.full(len(sol.sets), 1.0 / len(sol.sets))
+        js = [numopt._korner_iterate(member, p, r, tol, 0)[2]]
+        for _ in range(sol.iterations):
+            r, _, j, _, _ = numopt._korner_iterate(member, p, r, tol, 1)
+            js.append(j)
+        assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
+        assert np.array_equal(r, sol.r) and max(js[-1], 0.0) == sol.value
+        assert [f.name for f in dataclasses.fields(sol)] == [
+            "value", "sets", "r", "cov", "iterations", "converged"]
         # matches the grid oracle loosely
         assert sol.value <= korner_grid_oracle(pg, 32) + 1e-9
 
@@ -189,11 +196,9 @@ def test_relative_capacity_perfect():
     # (C6, uniform) -> log 3
     val = relative_capacity_perfect(uniform_pgraph(cycle(6)), tol=1e-11)
     assert val.value == pytest.approx(math.log2(3), abs=1e-6)
-    # refuses non-perfect graphs unless asserted
+    # refuses non-perfect graphs
     with pytest.raises(ZeroErrError, match="not perfect"):
         relative_capacity_perfect(uniform_pgraph(cycle(5)))
-    assumed = relative_capacity_perfect(uniform_pgraph(cycle(5)), assume_perfect=True)
-    assert assumed.perfect_assumed
 
 
 def test_capacity_concavity_midpoint():
@@ -226,6 +231,14 @@ def test_capacity_achieving_examples():
     assert opt.value == pytest.approx(math.log2(3), abs=1e-4)
     uniform_val = relative_capacity_perfect(uniform_pgraph(cycle(6)), tol=1e-11).value
     assert uniform_val <= opt.value + 1e-6
+
+
+def test_capacity_ascent_refuses_graphs_that_are_not_perfect():
+    # C(G,P) = H(P) - H_kappa(G,P) holds on perfect graphs only
+    for call in (lambda: capacity_achieving_distribution(cycle(5)),
+                 lambda: perfect_capacity_evaluator(cycle(5))):
+        with pytest.raises(ZeroErrError, match="not perfect"):
+            call()
 
 
 def test_sum_channel_weights_examples():
@@ -262,10 +275,8 @@ def test_theta_values():
     # triangular prism: 3-regular and vertex- but not edge-transitive
     prism = graph_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
                                  (0, 3), (1, 4), (2, 5)])
-    with pytest.raises(ZeroErrError, match="transitive"):
+    with pytest.raises(ZeroErrError, match="edge-transitive"):
         theta_transitive(prism)
-    # the assume flag bypasses verification
-    assert theta_transitive(prism, assume_transitive=True) > 0
 
 
 def test_gf_rank_oracle():

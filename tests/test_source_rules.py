@@ -1,0 +1,84 @@
+"""Rules every module of the package keeps, each checked on its syntax tree.
+
+- No `assert` statement: output checks must survive `python -O`, which
+  strips them, so the package raises its own typed errors instead.
+- No function takes a budget: budgets live in one scope, `graphs.Budget`,
+  so no call site can drop one on the way.
+- No import of `time`: no payload may depend on how fast the machine is;
+  budgets count nodes, and the CLI's whole-command time limit is a timer
+  signal, not a clock read.
+- Every import sits at the top of its module, where a reader sees what a
+  module depends on.  The one exception breaks a real cycle: `bounds`
+  imports `typicality`, so `typicality.eta_bounds` imports `bounds` when
+  it runs.
+- No parameter named `assume_*`: a certificate checks its own
+  precondition and no caller can vouch for it instead.
+"""
+
+import ast
+from pathlib import Path
+
+import zeroerr
+
+BUDGET_PARAMS = {"budget", "vertex_budget"}
+ALLOWED_INLINE_IMPORTS = {
+    ("typicality.py", "eta_bounds", "from .bounds import hbar_bounds, scale_interval")}
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _modules():
+    """(file name, syntax tree) of every module of the package."""
+    for path in sorted(Path(zeroerr.__file__).parent.rglob("*.py")):
+        yield path.name, ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _params(fn):
+    a = fn.args
+    return [p for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg]
+            if p is not None]
+
+
+def _params_where(keep) -> list:
+    return [f"{name}:{fn.lineno} {p.arg}"
+            for name, tree in _modules() for fn in ast.walk(tree)
+            if isinstance(fn, FUNCTIONS) for p in _params(fn) if keep(p.arg)]
+
+
+def test_package_has_no_assert_statements():
+    found = [f"{name}:{node.lineno}" for name, tree in _modules()
+             for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found, f"assert statements vanish under python -O: {found}"
+
+
+def test_no_function_takes_a_budget():
+    found = _params_where(lambda arg: arg in BUDGET_PARAMS)
+    assert not found, f"budget parameters: {found}"
+
+
+def test_package_does_not_import_time():
+    found = []
+    for name, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = [node.module]
+            else:
+                continue
+            if any(module.split(".")[0] == "time" for module in modules):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, f"the package imports time: {found}"
+
+
+def test_no_import_inside_a_function():
+    found = {(name, fn.name, ast.unparse(node))
+             for name, tree in _modules() for fn in ast.walk(tree)
+             if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+    extra = found - ALLOWED_INLINE_IMPORTS
+    assert not extra, f"imports inside functions: {sorted(extra)}"
+
+
+def test_no_parameter_assumes_a_precondition():
+    found = _params_where(lambda arg: arg.startswith("assume_"))
+    assert not found, f"parameters that skip a check: {found}"
