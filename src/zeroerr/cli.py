@@ -115,7 +115,7 @@ def _load_graph(path: str):
 
 def _load_pgraph(path: str, dist_arg=None) -> ProbabilisticGraph:
     d = load_json(path)
-    if "dist" in d:
+    if isinstance(d, dict) and "dist" in d:
         return pgraph_from_json_dict(d)
     g = graph_from_json_dict(d)
     if dist_arg:
@@ -360,6 +360,8 @@ def _cmd_codec(args) -> int:
 
 def _cmd_eta(args) -> int:
     data = load_json(args.parts)
+    if not isinstance(data, list):
+        raise ValueError("malformed parts JSON: expected a list of probabilistic graphs")
     parts = [pgraph_from_json_dict(d) for d in data]
     pa = Distribution(tuple(_fraction(p) for p in args.pa.split(",")))
     iv, product, k = eta_bounds(parts, pa, max_n=args.max_n)

@@ -253,6 +253,10 @@ class ChannelSpec:
     support: frozenset
 
     def __post_init__(self):
+        if self.x_count < 0:
+            raise ValueError(f"x_count must be nonnegative, got {self.x_count}")
+        if self.y_count < 0:
+            raise ValueError(f"y_count must be nonnegative, got {self.y_count}")
         for x, y in self.support:
             if not (0 <= x < self.x_count and 0 <= y < self.y_count):
                 raise ValueError(f"support pair ({x},{y}) out of range")

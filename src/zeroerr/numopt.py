@@ -13,12 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import Distribution, Graph, ProbabilisticGraph, ZeroErrError, bits_of
+from .graphs import (
+    WEIGHT_TOL,
+    Distribution,
+    Graph,
+    ProbabilisticGraph,
+    ZeroErrError,
+    bits_of,
+)
 from .combin import mis_masks
 from .symmetry import is_edge_transitive, is_perfect, is_vertex_transitive
 
 LN2 = math.log(2.0)
 CAPACITY_KORNER_TOL = 1e-10  # Koerner tolerance of each capacity evaluation
+KORNER_HISTORY_FLOATS = 4096  # iterate rows one Koerner look-ahead block keeps
 
 
 # ---------------------------------------------------------------------------
@@ -51,7 +59,8 @@ def _membership(sets, n: int) -> np.ndarray:
 def _korner_iterate(member: np.ndarray, p: np.ndarray, r0: np.ndarray,
                     tol: float, max_iter: int):
     """Fixed-point iteration r <- r * (M @ (P / c)) of the Koerner objective
-    J(r) = -sum_x P(x) log2 c(x), c = M^T r, started from r0.
+    J(r) = -sum_x P(x) log2 c(x), c = M^T r, started from r0, until a step
+    lowers J by less than tol or max_iter steps are made.
 
     Returns (r, c, J, iterations, converged).  r0 must cover every vertex
     of positive weight.  Only the support of P enters the division and the
@@ -59,27 +68,79 @@ def _korner_iterate(member: np.ndarray, p: np.ndarray, r0: np.ndarray,
     is at least P(x)), so the loop needs no guards.  The products keep the
     full matrix so that their summation order, and hence every bit of the
     result, does not depend on which vertices have zero weight.
+
+    The stopping test is made on a block of iterates at once.  The map runs
+    k steps ahead and keeps each step's r and c as a row; then J of all k
+    rows comes from one vectorised pass over the support columns, gathered
+    C-contiguous so that each row sum is the same pairwise sum as the sum
+    over a single c; and the result is the first row whose step lowered J
+    by less than tol.  The first block is one step.  After that, k is the
+    number of steps the last two steps predict until one falls below tol,
+    if they shrink geometrically, and otherwise twice the last k.  The rows
+    of one block hold at most KORNER_HISTORY_FLOATS floats, so a large set
+    family, where the two matrix-vector products cost far more than the
+    test, runs one step per block and keeps no history.
+
+    Contract: r, c, J, the iteration count and `converged` are bit for bit
+    those of the loop that tests J after every step (kept in the tests as
+    the reference); the look-ahead only adds steps that are never returned.
     """
     member_t = member.T
+    m, n = member.shape
     support = p > 0
-    p_s = p[support]
-    r = np.array(r0, dtype=float)
-    cov = member_t.dot(r)
-    ratio = np.zeros(len(p))
-    prev = float(-(p_s * np.log2(cov[support])).sum())
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        np.divide(p, cov, out=ratio, where=support)
-        r *= member.dot(ratio)
-        r /= r.sum()
-        cov = member_t.dot(r)
-        cur = float(-(p_s * np.log2(cov[support])).sum())
-        converged = prev - cur < tol
-        prev = cur
-        if converged:
-            break
-    return r, cov, prev, iterations, converged
+    full = bool(support.all())  # then P / c needs no mask, as c > 0
+    cols = support.nonzero()[0]
+    p_s = p[cols]
+    depth = max(1, KORNER_HISTORY_FLOATS // (m + n))  # steps one block keeps
+    rs = np.empty((depth, m))        # rs[i - 1]: r after step i of the block
+    covs = np.empty((depth + 1, n))  # covs[i]: c after step i; covs[0]: at its start
+    r = np.asarray(r0, dtype=float)
+    member_t.dot(r, out=covs[0])
+    ratio = np.zeros(n)
+    first, block = 0, 1  # J of covs rows first..k is made after each block
+    before = last = math.nan  # the last two steps J(r_{i-1}) - J(r_i)
+    iterations, converged, max_iter = 0, False, max(max_iter, 0)
+    while True:
+        k = min(block, depth, max_iter - iterations)
+        c = covs[0]
+        for i in range(k):
+            if full:
+                np.divide(p, c, ratio)
+            else:
+                np.divide(p, c, ratio, where=support)
+            r_next, c = rs[i], covs[i + 1]
+            np.multiply(r, member.dot(ratio), r_next)
+            np.divide(r_next, np.add.reduce(r_next, 0), r_next)
+            member_t.dot(r_next, out=c)
+            r = r_next
+        rows = covs[first:k + 1] if full else covs[first:k + 1].take(cols, 1)
+        sums = np.add.reduce(p_s * np.log2(rows), 1).tolist()  # -J of each row
+        if not first:
+            s_prev, first = sums.pop(0), 1
+        stop = k
+        for i, s in enumerate(sums, 1):
+            before, last, s_prev = last, s - s_prev, s
+            if last < tol:
+                stop, converged = i, True
+                break
+        iterations += stop
+        if converged or iterations == max_iter:
+            if stop:
+                r = rs[stop - 1]
+            return r.copy(), covs[stop].copy(), -s_prev, iterations, converged
+        covs[0] = covs[k]  # r is rs[k - 1], which the next block reads first
+        block = _korner_block(before, last, tol, k)
+
+
+def _korner_block(before: float, last: float, tol: float, k: int) -> int:
+    """Steps to run before the next stopping test: the number of steps until
+    one falls below tol if they keep shrinking by the ratio last / before,
+    and twice the last block k while they do not shrink."""
+    if 0 < tol < last < before:
+        shrink = math.log(last / before)
+        if shrink < 0:
+            return max(1, math.ceil(math.log(tol / last) / shrink))
+    return 2 * k
 
 
 def _korner_gap(member: np.ndarray, p: np.ndarray, cov: np.ndarray) -> float:
@@ -167,6 +228,10 @@ def perfect_capacity_evaluator(g: Graph):
     The evaluator is therefore stateful: the same P can give results that
     differ within the Koerner tolerance depending on the earlier calls.
     Use a fresh evaluator for each optimisation that must be reproducible.
+
+    An evaluation reads P as floats and checks that it is a distribution on
+    the vertices (ValueError otherwise); it builds no `Distribution`, and
+    its H(P) is the sum `Distribution.entropy` makes, term for term.
     """
     _require_perfect(g)
     member = _membership(mis_masks(g), g.n)
@@ -176,8 +241,12 @@ def perfect_capacity_evaluator(g: Graph):
 
     def evaluate(weights):
         nonlocal r
-        pg = ProbabilisticGraph(g, Distribution(tuple(weights)))
-        p = np.array([float(x) for x in weights])
+        w = [float(x) for x in weights]
+        if len(w) != g.n:
+            raise ValueError("distribution length must equal vertex count")
+        if min(w, default=0.0) < 0 or not abs(sum(w) - 1.0) <= WEIGHT_TOL:
+            raise ValueError("weights must be nonnegative and sum to 1")
+        p = np.array(w)
         sol = None
         if r is not None:
             sol = _korner_iterate(member, p, np.maximum(r, 1e-100),
@@ -185,7 +254,7 @@ def perfect_capacity_evaluator(g: Graph):
         if sol is None or _korner_gap(member, p, sol[1]) > gap_limit:
             sol = _korner_iterate(member, p, uniform, CAPACITY_KORNER_TOL, 100_000)
         r, cov, kappa = sol[:3]
-        value = pg.dist.entropy() - max(kappa, 0.0)
+        value = -sum(x * math.log2(x) for x in w if x > 0) - max(kappa, 0.0)  # H(P) - H_kappa
         log_p = np.full(g.n, -60.0)
         np.log2(p, out=log_p, where=p > 0)
         log_c = np.zeros(g.n)
@@ -218,10 +287,10 @@ def capacity_achieving_distribution(g: Graph, tol: float = 1e-5,
     converged = False
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        value, grad = evaluator(tuple(p))
+        value, grad = evaluator(p)
         if value > best_val:
             best_val, best_p = value, p.copy()
-        gap = float(np.max(grad) - grad @ p)
+        gap = float(grad.max() - grad @ p)
         if gap <= tol:
             converged = True
             break

@@ -229,11 +229,12 @@ def korner_grid_oracle(pg, resolution=64):
     return float(vals.min())
 
 
-def korner_reference(pg, tol=1e-9, max_iter=100_000):
+def korner_reference(pg, tol=1e-9, max_iter=100_000, r0=None):
     """The Koerner fixed-point loop as it stood before the solver moved to a
     shared kernel, kept verbatim as the reference whose arithmetic the
-    kernel must reproduce bit for bit.  Returns (value, r, iterations,
-    converged)."""
+    kernel must reproduce bit for bit, started from r0 (over the sets in
+    `maximal_independent_sets` order) or else from the uniform r.  Returns
+    (value, r, iterations, converged)."""
     g = pg.graph
     sets = [w.vertices for w in maximal_independent_sets(g)]
     m, n = len(sets), g.n
@@ -243,7 +244,7 @@ def korner_reference(pg, tol=1e-9, max_iter=100_000):
             member[k, v] = 1.0
     p = np.array([float(x) for x in pg.dist.weights])
     support = p > 0
-    r = np.full(m, 1.0 / m)
+    r = np.full(m, 1.0 / m) if r0 is None else np.array(r0, dtype=float)
 
     def objective(cov):
         return float(-(p[support] * np.log2(cov[support])).sum())

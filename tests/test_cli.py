@@ -271,6 +271,12 @@ def test_malformed_inputs_are_errors(tmp_path, capsys):
              "zero denominator")
     parts = write("parts.json", [{"n": 1, "edges": [], "dist": [1.0]}] * 2)
     _refused(capsys, ["eta", "--parts", parts, "--pa", "1/0,1/1"], "zero denominator")
+    five = write("five.json", 5)
+    _refused(capsys, ["entropy", "kappa", "--graph", five], "malformed graph JSON")
+    _refused(capsys, ["eta", "--parts", five, "--pa", "1/2,1/2"], "malformed parts JSON")
+    chan = write("neg.json", {"x_count": -1, "y_count": -3, "support": []})
+    _refused(capsys, ["codec", "channel", "--channel", chan],
+             "malformed channel JSON: x_count must be nonnegative, got -1")
 
 
 def test_entropy_capdist_payload_keys(tmp_path, capsys):

@@ -250,6 +250,10 @@ def test_json_roundtrip():
             pgraph_from_json_dict({"n": 2, "edges": [], "dist": dist})
     with pytest.raises(ValueError, match="not 1"):
         pgraph_from_json_dict({"n": 1, "edges": [], "dist": [float("nan")]})
+    for doc, count in (({"x_count": -1, "y_count": -3, "support": []}, "x_count"),
+                       ({"x_count": 1, "y_count": -3, "support": [[0, 0]]}, "y_count")):
+        with pytest.raises(ValueError, match=f"{count} must be nonnegative"):
+            channel_from_json_dict(doc)
 
 
 LOADER_DOCS = [

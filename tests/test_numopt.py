@@ -10,6 +10,7 @@ from zeroerr.graphs import (
     Distribution,
     ProbabilisticGraph,
     ZeroErrError,
+    and_product_graph,
     catalog_get,
     complement,
     complete,
@@ -21,7 +22,7 @@ from zeroerr.graphs import (
     uniform_pgraph,
 )
 from zeroerr import numopt
-from zeroerr.combin import alpha_exact
+from zeroerr.combin import alpha_exact, mis_masks
 from zeroerr.numopt import (
     FiniteFieldMatrix,
     adjacency_plus_identity,
@@ -118,6 +119,15 @@ def _with_zero_weights(rng, n):
     return Distribution(tuple(x / total for x in w))
 
 
+def _kernel_matches_reference(pg, r0, tol, max_iter):
+    member = numopt._membership(mis_masks(pg.graph), pg.n)
+    p = np.array([float(x) for x in pg.dist.weights])
+    r, _, j, iterations, converged = numopt._korner_iterate(member, p, r0, tol, max_iter)
+    value, r_ref, iterations_ref, converged_ref = korner_reference(pg, tol, max_iter, r0)
+    assert (max(j, 0.0), iterations, converged) == (value, iterations_ref, converged_ref)
+    assert np.array_equal(r, r_ref)
+
+
 def test_korner_kernel_matches_reference_loop_exactly():
     # half of the instances give some vertices weight zero
     rng = SplitMix64(41)
@@ -132,6 +142,26 @@ def test_korner_kernel_matches_reference_loop_exactly():
             assert sol.iterations == iterations
             assert sol.converged == converged
             assert np.array_equal(sol.r, r)
+    # the capacity evaluator's warm starts: an earlier solution's r with its
+    # entries raised to at least 1e-100; caps of 0, 1, 2 and 7 steps stop
+    # the look-ahead inside its first blocks
+    rng = SplitMix64(43)
+    for trial in range(40):
+        g = sample_perfect_graph(rng, 3, 12)
+        first = ProbabilisticGraph(g, _with_zero_weights(rng, g.n))
+        r0 = np.maximum(korner_entropy(first, 1e-10).r, 1e-100)
+        p = _with_zero_weights(rng, g.n) if trial % 2 else random_distribution(rng, g.n)
+        pg = ProbabilisticGraph(g, p)
+        for tol, max_iter in ((1e-10, 100_000), (1e-12, 0), (1e-12, 1), (1e-12, 2),
+                              (1e-12, 7), (0.0, 7)):
+            _kernel_matches_reference(pg, r0, tol, max_iter)
+    # 12 disjoint copies of K2 have 4,096 maximal independent sets, so a
+    # look-ahead block holds one step and the kernel keeps no history
+    g = graph_from_edges(24, [(2 * i, 2 * i + 1) for i in range(12)])
+    assert len(mis_masks(g)) + g.n > numopt.KORNER_HISTORY_FLOATS
+    pg = ProbabilisticGraph(g, _with_zero_weights(rng, g.n))
+    for tol, max_iter in ((1e-10, 100_000), (1e-12, 0), (1e-12, 2), (1e-12, 7)):
+        _kernel_matches_reference(pg, np.full(4096, 1.0 / 4096), tol, max_iter)
 
 
 def _warm_and_fresh(g, first, second):
@@ -231,6 +261,40 @@ def test_capacity_achieving_examples():
     assert opt.value == pytest.approx(math.log2(3), abs=1e-4)
     uniform_val = relative_capacity_perfect(uniform_pgraph(cycle(6)), tol=1e-11).value
     assert uniform_val <= opt.value + 1e-6
+
+
+C4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+P4_N2 = and_product_graph(path(4), empty(2))  # its cold Koerner solve takes 3,868 steps
+Q, E = 0.125064648503553, 0.124935351496447  # the P4 x N2 optimum after 179 steps
+ASCENTS = [
+    # (graph, tol, max_iter, dist, value, iterations, converged) as computed
+    # by the loop that tests convergence after every Koerner step
+    (cycle(6), 1e-6, 4000, (1 / 6,) * 6, 1.5849625005721772, 1, True),
+    (P4_N2, 1e-9, 200, (Q, Q, E, E, E, E, Q, Q), 2.000000000000001, 179, True),
+    (P4_N2, 1e-12, 60, (0.12506462005223257,) * 2 + (0.12493537994776743,) * 4
+     + (0.12506462005223257,) * 2, 1.9999999999999618, 60, False),
+    (and_product_graph(C4, path(3)), 1e-4, 300,
+     (0.12498749531218331, 2.5009375633370702e-05, 0.12498749531218331) * 4,
+     1.999899962484213, 170, True),
+]
+
+
+@pytest.mark.parametrize("g, tol, max_iter, dist, value, iterations, converged", ASCENTS)
+def test_capacity_ascent_is_pinned_bit_for_bit(g, tol, max_iter, dist, value, iterations,
+                                               converged):
+    opt = capacity_achieving_distribution(g, tol=tol, max_iter=max_iter)
+    assert opt.dist.weights == dist and opt.value == value
+    assert (opt.iterations, opt.converged) == (iterations, converged)
+
+
+def test_capacity_evaluator_refuses_invalid_weights():
+    evaluate = perfect_capacity_evaluator(path(3))
+    for weights in ((0.5, 0.5), (0.5, 0.25, 0.25, 0.0), (1.5, -0.25, -0.25),
+                    (0.5, 0.25, 0.2), (float("nan"), 0.5, 0.5)):
+        with pytest.raises(ValueError):
+            evaluate(weights)
+    value, grad = evaluate((0.5, 0.0, 0.5))  # a refused call leaves no state
+    assert value == 1.0 and len(grad) == 3
 
 
 def test_capacity_ascent_refuses_graphs_that_are_not_perfect():
