@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 from .graphs import (
-    Budget,
     Graph,
     ProbabilisticGraph,
     Undecided,
@@ -124,13 +123,10 @@ def _certified_perfect(g: Graph) -> bool:
 
 def _powers(g: Graph, max_n: int):
     """Yield (n, G^n) for n = 1..max_n, each power the previous one times G;
-    stop before a power would exceed the budget's vertex limit."""
-    limit = Budget.current().vertices
+    a power above the budget's vertex limit raises BudgetExceeded."""
     power = g
     for n in range(1, max_n + 1):
         if n > 1:
-            if g.n ** n > limit:
-                return
             power = and_product_graph(power, g)
         yield n, power
 

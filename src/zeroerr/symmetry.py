@@ -4,7 +4,8 @@ The isomorphism engine is partition-refinement backtracking with bitset
 forward checking and an explicit node budget.  It is not a canonical-labeling
 engine; it is sound and complete within its budget and raises Undecided
 beyond it, which is enough for the highly symmetric catalog graphs this
-package cares about.
+package cares about.  The transitivity tests keep the automorphisms they
+find and search only for targets outside the orbit those already span.
 """
 
 from __future__ import annotations
@@ -206,31 +207,62 @@ def find_automorphism(g: Graph, forced):
     return _IsoSearch(g, g, colors, colors).run(forced)
 
 
+def _reaches_all(start, targets, image, search) -> bool:
+    """True iff the automorphisms that `search(x)` finds, each mapping
+    `start` to x, span a group whose orbit of `start` holds every target.
+    Only targets outside the orbit of those found so far are searched; the
+    orbit is a BFS over them as generators (a finite group needs no
+    inverses), `image(p, x)` being the image of x under p."""
+    gens, orbit = [], {start}
+    for x in targets:
+        if x in orbit:
+            continue
+        p = search(x)
+        if p is None:
+            return False
+        gens.append(p)
+        todo = list(orbit)
+        while todo:
+            y = todo.pop()
+            for q in gens:
+                z = image(q, y)
+                if z not in orbit:
+                    orbit.add(z)
+                    todo.append(z)
+    return True
+
+
 def is_vertex_transitive(g: Graph) -> bool:
-    """True iff some automorphism maps vertex 0 to every other vertex."""
+    """True iff some automorphism maps vertex 0 to every other vertex; only
+    vertices outside the orbit of the automorphisms found so far are
+    searched."""
     if g.n > TRANSITIVITY_VERTEX_LIMIT:
         raise Undecided("undecided (budget): graph too large for transitivity search")
     if g.n <= 1:
         return True
     if not g.is_regular():
         return False
-    return all(find_automorphism(g, [(0, v)]) is not None
-               for v in range(1, g.n))
+    return _reaches_all(0, range(1, g.n), lambda p, v: p[v],
+                        lambda v: find_automorphism(g, [(0, v)]))
 
 
 def is_edge_transitive(g: Graph) -> bool:
-    """True iff the automorphism group is transitive on unordered edges."""
+    """True iff the automorphism group is transitive on unordered edges; only
+    edges outside the orbit of the automorphisms found so far are searched."""
     if g.n > TRANSITIVITY_VERTEX_LIMIT:
         raise Undecided("undecided (budget): graph too large for transitivity search")
     edges = g.edges()
     if len(edges) <= 1:
         return True
     s, t = edges[0]
-    for u, v in edges[1:]:
-        if find_automorphism(g, [(s, u), (t, v)]) is None:
-            if find_automorphism(g, [(s, v), (t, u)]) is None:
-                return False
-    return True
+
+    def search(e):
+        u, v = sorted(e)
+        p = find_automorphism(g, [(s, u), (t, v)])
+        return p if p is not None else find_automorphism(g, [(s, v), (t, u)])
+
+    return _reaches_all(frozenset(edges[0]), map(frozenset, edges[1:]),
+                        lambda p, e: frozenset(p[x] for x in e), search)
 
 
 # ---------------------------------------------------------------------------

@@ -167,6 +167,19 @@ def test_vertex_budget_reaches_si_codecs_and_verify(tmp_path, capsys):
     assert [s["status"] for s in report["scenarios"]] == ["undecided", "undecided"]
 
 
+def test_bounds_power_above_vertex_budget_exits_2(tmp_path, capsys):
+    g = tmp_path / "c5.json"
+    run(capsys, "graph", "catalog", "--name", "cycle", "--n", "5", "--out", str(g))
+    for quantity in ("c0", "h0", "hbar", "c"):
+        code, stdout, err = run(capsys, "bounds", quantity, "--graph", str(g),
+                                "--max-n", "2", "--vertex-budget", "0")
+        assert (code, stdout) == (2, "")
+        assert err.startswith("undecided: product too large: 25 > 0 vertices")
+    code, stdout, _ = run(capsys, "bounds", "c0", "--graph", str(g), "--max-n", "2",
+                          "--vertex-budget", "25")
+    assert code == 0 and json.loads(stdout)["lo_cert"]["details"]["n"] == 2
+
+
 def test_codec_sum_beyond_two_to_the_64_messages(tmp_path, capsys):
     spec = tmp_path / "sum.json"
     spec.write_text(json.dumps({"channels": [

@@ -1,7 +1,10 @@
 """Exact solvers against brute-force oracles and standard graph identities."""
 
+import functools
 import gc
+import itertools
 import math
+import operator
 import sys
 from fractions import Fraction
 
@@ -272,6 +275,42 @@ def test_mis_against_brute_force():
         assert got == expected
 
 
+def _networkx_sample(seed, count):
+    """(g, its networkx copy, the networkx maximal independent sets as
+    bitsets) for seeded random graphs on 4-9 vertices."""
+    nx = pytest.importorskip("networkx")
+    rng = SplitMix64(seed)
+    for _ in range(count):
+        g = random_graph(rng, 4 + rng.randrange(6), 0.15 + 0.7 * rng.random())
+        ng = nx.Graph()
+        ng.add_nodes_from(range(g.n))
+        ng.add_edges_from(g.edges())
+        mis = {sum(1 << v for v in c) for c in nx.find_cliques(nx.complement(ng))}
+        yield g, ng, mis
+
+
+def test_alpha_omega_mis_against_networkx():
+    nx = pytest.importorskip("networkx")
+    for g, ng, mis in _networkx_sample(109, 150):
+        a, w = alpha_exact(g), omega_exact(g)
+        assert a.exact and a.size == max(m.bit_count() for m in mis)
+        assert is_independent(g, a.witness.vertices) and a.witness.size == a.size
+        assert w.exact and w.size == max(len(c) for c in nx.find_cliques(ng))
+        assert {x.vertices for x in maximal_independent_sets(g)} == mis
+
+
+def test_chi_against_networkx():
+    # chi is the fewest maximal independent sets that cover the vertices
+    for g, _, mis in _networkx_sample(113, 150):
+        full = (1 << g.n) - 1
+        chi = next(k for k in range(1, g.n + 1)
+                   if any(functools.reduce(operator.or_, c) == full
+                          for c in itertools.combinations(sorted(mis), k)))
+        res = chromatic_number_exact(g)
+        assert res.exact and res.count == chi
+        assert validate_coloring(g, res.coloring)
+
+
 def test_mis_masks_list_is_freed_with_its_last_reference():
     # the enumeration's recursive closure once kept the list alive until the
     # next cyclic collection: 6.7 MB on the AND square of C5xK2
@@ -429,6 +468,30 @@ def test_hchi_peel_window_edges():
     chosen, family, theta = combin._peel(
         complete(3).rows, w, 7, {2: w[1], 4: w[2]}, a - 1e-15, 10)
     assert (chosen, sorted(family), theta) == (4, [1, 2, 4], a - 1e-9)
+
+
+def test_hchi_peel_window_widens_past_a_chain_of_near_ties():
+    # Masses ascend with the mask in steps of 9 ulps (just under 1e-15) from
+    # just below 1 - 1e-9 up to 1.0: inside the 1e-9 window no gap shows, so
+    # only the widened window (1e-6) holds the set the scan starts from.
+    # The scan over every set takes every second one, and starting one set
+    # lower lands on a different last pick.  20 vertices, no edges: the
+    # family's masks are taken as given and no refill runs (theta 0).
+    count, step = 1_000_901, 9 * 2.0 ** -53
+    family = {k + 1: 1.0 - (count - 1 - k) * step for k in range(count)}
+
+    def scan(floor):
+        chosen, best = 0, -1.0
+        for c in sorted(family):
+            if family[c] >= floor and family[c] > best + 1e-15:
+                chosen, best = c, family[c]
+        return chosen
+
+    every, narrow = scan(-math.inf), scan(1.0 - 1e-9)
+    assert every != narrow
+    chosen, carried, theta = combin._peel(empty(20).rows, [0.0] * 20, (1 << 20) - 1,
+                                          family, 0.0, 10)
+    assert (chosen, theta) == (every, 0.0) and carried == family
 
 
 def _peel_family_cases(kind):

@@ -13,6 +13,9 @@ from zeroerr.graphs import (
     path,
     uniform_pgraph,
 )
+from zeroerr import symmetry
+from zeroerr.rng import SplitMix64
+from zeroerr.verifier import random_graph
 from zeroerr.symmetry import (
     find_odd_hole,
     graph_isomorphic,
@@ -69,6 +72,77 @@ def test_edge_transitivity():
     assert not is_edge_transitive(kite)
 
 
+def _nx(g):
+    nx = pytest.importorskip("networkx")
+    ng = nx.Graph()
+    ng.add_nodes_from(range(g.n))
+    ng.add_edges_from(g.edges())
+    return nx, ng
+
+
+def _nx_transitivity(g):
+    """(vertex-, edge-transitive) from the orbits of vertex 0 and of the
+    first edge under every automorphism networkx enumerates."""
+    nx, ng = _nx(g)
+    autos = list(nx.isomorphism.GraphMatcher(ng, ng).isomorphisms_iter())
+    edges = [frozenset(e) for e in g.edges()]
+    vertex = {a[0] for a in autos} == set(range(g.n))
+    edge = not edges or {frozenset(a[x] for x in edges[0]) for a in autos} == set(edges)
+    return vertex, edge
+
+
+PETERSEN_EDGES = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
+                  + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+@pytest.mark.parametrize("edges, n, expected", [
+    ([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)], 6,
+     (True, False)),
+    ([(0, 1), (0, 2), (0, 3)], 4, (False, True)),
+    ([(i, j) for i in range(2) for j in range(2, 5)], 5, (False, True)),
+    ([(0, 1), (1, 2), (2, 0), (2, 3)], 4, (False, False)),
+    ([(i, (i + 1) % 5) for i in range(5)], 5, (True, True)),
+    ([(i, (i + 1) % 8) for i in range(8)], 8, (True, True)),
+    (PETERSEN_EDGES, 10, (True, True)),
+], ids=["prism", "K13", "K23", "kite", "C5", "C8", "petersen"])
+def test_transitivity_hand_picked_cases(edges, n, expected):
+    g = graph_from_edges(n, edges)
+    assert (is_vertex_transitive(g), is_edge_transitive(g)) == expected
+    assert _nx_transitivity(g) == expected
+
+
+def test_transitivity_against_networkx_orbits():
+    rng = SplitMix64(101)
+    seen = set()
+    for _ in range(300):
+        g = random_graph(rng, 4 + rng.randrange(5), 0.2 + 0.6 * rng.random())
+        got = (is_vertex_transitive(g), is_edge_transitive(g))
+        assert got == _nx_transitivity(g), g.edges()
+        seen.add(got)
+    # the sample mixes transitive and intransitive graphs on both counts
+    assert len(seen) >= 3
+
+
+def test_edge_transitivity_searches_outside_known_orbits(monkeypatch):
+    # the Schlafli graph has 216 edges; the searches that find its
+    # automorphism group's generators are few, and each is an automorphism
+    found = []
+    real = symmetry.find_automorphism
+
+    def counted(g, forced):
+        p = real(g, forced)
+        found.append(p)
+        return p
+
+    monkeypatch.setattr(symmetry, "find_automorphism", counted)
+    s = catalog_get("schlafli")
+    assert is_edge_transitive(s)
+    assert 1 <= len(found) <= 10
+    for p in found:
+        assert p is not None and sorted(p) == list(range(s.n))
+        assert all(s.has_edge(p[i], p[j]) for i, j in s.edges())
+
+
 def test_perfectness_basics():
     ok, hole, in_comp = is_perfect(cycle(5))
     assert not ok and sorted(hole) == [0, 1, 2, 3, 4] and not in_comp
@@ -98,3 +172,54 @@ def test_srg_schlafli():
     assert srg_parameters(s) == (27, 16, 10, 8)
     assert srg_parameters(complement(s)) == (27, 10, 1, 5)
     assert srg_parameters(path(4)) is None
+
+
+def _is_induced_odd_cycle(g, hole):
+    k = len(hole)
+    return (k >= 5 and k % 2 == 1 and len(set(hole)) == k
+            and all(g.has_edge(hole[i], hole[j]) == ((i - j) % k in (1, k - 1))
+                    for i in range(k) for j in range(i + 1, k)))
+
+
+def test_is_perfect_against_networkx():
+    rng = SplitMix64(103)
+    verdicts = set()
+    for _ in range(120):
+        g = random_graph(rng, 4 + rng.randrange(6), 0.2 + 0.6 * rng.random())
+        nx, ng = _nx(g)
+        ok, hole, in_complement = is_perfect(g)
+        assert ok == nx.is_perfect_graph(ng), g.edges()
+        if not ok:
+            assert _is_induced_odd_cycle(complement(g) if in_complement else g, hole)
+        verdicts.add(ok)
+    assert verdicts == {True, False}
+
+
+def _shuffled(rng, items):
+    items = list(items)
+    for i in range(len(items) - 1, 0, -1):
+        j = rng.randrange(i + 1)
+        items[i], items[j] = items[j], items[i]
+    return items
+
+
+def test_graph_isomorphic_against_networkx():
+    rng = SplitMix64(107)
+    verdicts = set()
+    for _ in range(150):
+        n = 4 + rng.randrange(5)
+        g = random_graph(rng, n, 0.2 + 0.6 * rng.random())
+        perm = _shuffled(rng, range(n))
+        relabeled = graph_from_edges(n, [(perm[i], perm[j]) for i, j in g.edges()])
+        # as many edges as g, drawn at random: isomorphic to g or not
+        pairs = _shuffled(rng, [(i, j) for i in range(n) for j in range(i + 1, n)])
+        other = graph_from_edges(n, pairs[:g.edge_count()])
+        nx, ng = _nx(g)
+        for h in (relabeled, other):
+            mapping = graph_isomorphic(g, h)
+            assert (mapping is not None) == nx.is_isomorphic(ng, _nx(h)[1]), h.edges()
+            if mapping is not None:
+                assert sorted(mapping) == list(range(n))
+                assert all(h.has_edge(mapping[i], mapping[j]) for i, j in g.edges())
+            verdicts.add(mapping is not None)
+    assert verdicts == {True, False}
