@@ -229,7 +229,9 @@ def hbar_bounds(pg: ProbabilisticGraph, max_n: int = 1, korner_tol: float = 1e-1
     limit, otherwise a valid coloring's entropy), (1/n) log chi(G^n) (sound
     since Hbar <= H0), and the Koerner entropy when converged.  Lower end:
     H(P) minus the smallest C0 upper candidate, taken on the same powers.
-    Perfect graphs collapse to the Koerner value.
+    Perfect graphs collapse to the Koerner value.  On others the Koerner
+    solve runs last, only while the other candidates leave a gap above
+    `korner_tol`: its value J >= H_kappa >= Hbar >= lo lowers hi by less.
     """
     g = pg.graph
     if g.n == 0:
@@ -255,10 +257,6 @@ def hbar_bounds(pg: ProbabilisticGraph, max_n: int = 1, korner_tol: float = 1e-1
                          Certificate("chi_power",
                                      {"n": n, "chi": chi.count, "exact": chi.exact})))
 
-    sol = korner_entropy(pg, korner_tol)
-    if sol.converged:
-        hi_cands.append((sol.value, Certificate("korner_upper", {"value": sol.value})))
-
     c0_hi, c0_hi_cert = min(_c0_upper(g, powers, factors), key=lambda c: c[0])
     h = pg.dist.entropy()
     lo_cands = [
@@ -266,6 +264,10 @@ def hbar_bounds(pg: ProbabilisticGraph, max_n: int = 1, korner_tol: float = 1e-1
         (h - c0_hi, Certificate("marton_capacity_reflect",
                                 {"entropy": h, "c0_hi": c0_hi, "c0_hi_cert": c0_hi_cert})),
     ]
+    if min(c[0] for c in hi_cands) - max(c[0] for c in lo_cands) > korner_tol:
+        sol = korner_entropy(pg, korner_tol)
+        if sol.converged:
+            hi_cands.append((sol.value, Certificate("korner_upper", {"value": sol.value})))
     return _interval(lo_cands, hi_cands)
 
 

@@ -6,9 +6,10 @@ output uses 9 significant digits; outputs are byte-identical for identical
 (input, config, seed).  Exit codes: 0 success, 2 budget-undecided, 1 error
 (usage errors and out-of-range numbers included); a closed stdout ends the
 command silently with 0.  `main` runs every subcommand, `verify` included,
-inside one `Budget(nodes=--node-budget, vertices=--vertex-budget)` scope;
-any product above the vertex budget, `bounds --max-n` powers included,
-exits 2.  Only these node and vertex budgets shape a payload:
+inside one `Budget(nodes=--node-budget, vertices=--vertex-budget)` scope,
+whose one result store lets the command solve each graph once; any product
+above the vertex budget, `bounds --max-n` powers included, exits 2.  Only
+these node and vertex budgets shape a payload:
 `--time-budget-ms` is one hard limit on the whole command, which then
 exits 2 and writes no output at all.
 """

@@ -86,15 +86,6 @@ def huffman_code(weights) -> list:
     return codes
 
 
-def kraft_sum(codes) -> float:
-    return sum(2.0 ** -len(c) for c in codes)
-
-
-def is_prefix_free(codes) -> bool:
-    srt = sorted(codes)
-    return all(not srt[i + 1].startswith(srt[i]) for i in range(len(srt) - 1))
-
-
 class _HuffmanDecoder:
     def __init__(self, codes):
         self.table = {c: i for i, c in enumerate(codes)}

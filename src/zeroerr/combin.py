@@ -22,6 +22,7 @@ from .graphs import (
     connected_components,
     induced_subgraph_graph,
     popcount,
+    solved_once,
 )
 
 HCHI_EXACT_LIMIT = 18  # most vertices the exact H_chi subset DP takes
@@ -192,6 +193,7 @@ def max_clique(g: Graph):
     return _CliqueSolver(g, _root_order(g)).solve()
 
 
+@solved_once
 def alpha_exact(g: Graph) -> AlphaResult:
     """Maximum independent set via branch and bound on the complement.
 
@@ -385,6 +387,7 @@ class _ChiSolver:
         level[s] |= bit
 
 
+@solved_once
 def chromatic_number_exact(g: Graph) -> ChiResult:
     """Exact chromatic number; degrades to a flagged upper bound on budget.
 
@@ -415,6 +418,7 @@ def chromatic_number_exact(g: Graph) -> ChiResult:
     return ChiResult(k, coloring, exact)
 
 
+@solved_once
 def clique_cover_number(g: Graph) -> ChiResult:
     """Minimum partition into cliques: chi of the complement.
 

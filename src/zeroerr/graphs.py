@@ -14,16 +14,17 @@ limits for the block and restores the enclosing ones on exit, also on an
 exception.  No function takes a budget argument; solvers and product
 constructors read `Budget.current()` when they start.  The scope is a
 ContextVar, so a new thread starts at `Budget()` whatever its parent entered.
+Each scope also holds the result store of the `solved_once` solvers.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 WEIGHT_TOL = 1e-9
 
@@ -44,7 +45,11 @@ class Undecided(ZeroErrError):
 class Budget:
     """Limits, not a running total: `nodes` for each branch-and-bound solve and
     `vertices` for each AND product.  The active scopes are kept outside the
-    instance, so an instance may be entered again while it is active."""
+    instance, so an instance may be entered again while it is active.
+
+    A scope starts an empty result store, dropped on exit, so nothing
+    outlives the outermost scope (in the CLI, one command); a nested scope
+    with an equal budget, which shapes results alike, shares its parent's."""
 
     nodes: int = 5_000_000
     vertices: int = 1 << 16
@@ -54,7 +59,10 @@ class Budget:
             raise ZeroErrError(f"budgets must be >= 0: {self}")
 
     def __enter__(self) -> Budget:
-        _SCOPES.set(_SCOPES.get() + (self,))
+        outer, store = _SCOPES.get()[-1]
+        if store is None or outer != self:
+            store = {}
+        _SCOPES.set(_SCOPES.get() + ((self, store),))
         return self
 
     def __exit__(self, *exc) -> None:
@@ -63,10 +71,29 @@ class Budget:
     @staticmethod
     def current() -> Budget:
         """The innermost active budget; `Budget()` outside every scope."""
-        return _SCOPES.get()[-1]
+        return _SCOPES.get()[-1][0]
 
 
-_SCOPES = ContextVar("zeroerr_budget", default=(Budget(),))
+_SCOPES = ContextVar("zeroerr_budget", default=((Budget(), None),))  # (budget, store) pairs
+
+
+def solved_once(fn):
+    """Inside a `Budget` scope, a call with the same (hashable) arguments as
+    an earlier one returns that call's result, so results must be immutable.
+    Exceptions are not stored; outside every scope each call solves.  The
+    call goes through `__wrapped__`, so a test can count the solves."""
+
+    @functools.wraps(fn)
+    def once(*args, **kwargs):
+        store = _SCOPES.get()[-1][1]
+        if store is None:
+            return once.__wrapped__(*args, **kwargs)
+        key = (fn, args, tuple(kwargs.items()))
+        if key not in store:
+            store[key] = once.__wrapped__(*args, **kwargs)
+        return store[key]
+
+    return once
 
 
 def popcount(x: int) -> int:
@@ -105,7 +132,7 @@ class Graph:
         if self.labels is not None and len(self.labels) != self.n:
             raise ValueError("labels length must equal n")
 
-    @cached_property
+    @property
     def closed_rows(self) -> tuple:
         """Adjacency rows with the self bit set (used by product rules)."""
         return tuple(row | (1 << i) for i, row in enumerate(self.rows))

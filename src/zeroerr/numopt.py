@@ -20,6 +20,7 @@ from .graphs import (
     ProbabilisticGraph,
     ZeroErrError,
     bits_of,
+    solved_once,
 )
 from .combin import mis_masks
 from .symmetry import is_edge_transitive, is_perfect, is_vertex_transitive
@@ -33,17 +34,20 @@ KORNER_HISTORY_FLOATS = 4096  # iterate rows one Koerner look-ahead block keeps
 # Koerner graph entropy by alternating minimization
 
 
-@dataclass
+@dataclass(frozen=True)
 class KornerSolution:
     """Result of the alternating minimization of I(W;X) over P(W|X) with
-    X in W, W ranging over maximal independent sets."""
+    X in W, W ranging over maximal independent sets; immutable, arrays too."""
 
     value: float
-    sets: list                 # W alphabet, independent sets as bitsets
+    sets: tuple                # W alphabet, independent sets as bitsets
     r: np.ndarray              # marginal of W
     cov: np.ndarray            # cov[x] = sum_{w: x in w} r(w)
     iterations: int
     converged: bool
+
+    def __post_init__(self):
+        self.r.flags.writeable = self.cov.flags.writeable = False
 
 
 def _membership(sets, n: int) -> np.ndarray:
@@ -155,6 +159,7 @@ def _korner_gap(member: np.ndarray, p: np.ndarray, cov: np.ndarray) -> float:
     return float(np.log2(member.dot(ratio).max()))
 
 
+@solved_once
 def korner_entropy(pg: ProbabilisticGraph, tol: float = 1e-9,
                    max_iter: int = 100_000) -> KornerSolution:
     """Koerner graph entropy min I(W;X) s.t. X in W, W independent.
@@ -176,7 +181,7 @@ def korner_entropy(pg: ProbabilisticGraph, tol: float = 1e-9,
     p = np.array([float(x) for x in pg.dist.weights])
     r, cov, value, iterations, converged = _korner_iterate(
         member, p, np.full(len(sets), 1.0 / len(sets)), tol, max_iter)
-    return KornerSolution(max(value, 0.0), sets, r, cov, iterations, converged)
+    return KornerSolution(max(value, 0.0), tuple(sets), r, cov, iterations, converged)
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from .graphs import (
     bits_of,
     complement,
     popcount,
+    solved_once,
 )
 
 # Not the `graphs.Budget` scope: the theta certificate of `bounds` would
@@ -271,7 +272,7 @@ def is_edge_transitive(g: Graph) -> bool:
 
 def find_odd_hole(g: Graph):
     """Search for an induced odd cycle of length >= 5; returns its vertex
-    list or None.
+    tuple or None.
 
     Paths are grown from their minimal vertex s.  A frame keeps the induced
     path [s, ..., head] and the neighborhoods of the interior vertices, so a
@@ -297,7 +298,7 @@ def find_odd_hole(g: Graph):
                     closing = base & row_s
                     if closing:
                         w = closing & -closing
-                        return list(path) + [w.bit_length() - 1]
+                        return path + (w.bit_length() - 1,)
                 if cycle_len < n + 1:
                     for w in bits_of(base & ~row_s):
                         stack.append((path + (w,), path_bits | (1 << w),
@@ -305,6 +306,7 @@ def find_odd_hole(g: Graph):
     return None
 
 
+@solved_once
 def is_perfect(g: Graph):
     """Perfectness test: no induced odd hole in g or its complement.
 

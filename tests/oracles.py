@@ -288,3 +288,14 @@ def sum_weights_grid(values, step=1000):
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(ws > 0, -ws * np.log2(np.where(ws > 0, ws, 1.0)), 0.0).sum(axis=1)
     return float((h + ws @ vals).max())
+
+
+def kraft_sum(codes):
+    """Kraft sum of a list of binary codewords."""
+    return sum(2.0 ** -len(c) for c in codes)
+
+
+def is_prefix_free(codes):
+    """No codeword is a prefix of another: checked on sorted neighbours."""
+    srt = sorted(codes)
+    return all(not srt[i + 1].startswith(srt[i]) for i in range(len(srt) - 1))

@@ -15,6 +15,7 @@ from zeroerr.graphs import (
     cycle,
     disjoint_union,
     empty,
+    graph_from_edges,
     path,
     uniform_pgraph,
 )
@@ -28,6 +29,7 @@ from zeroerr.bounds import (
     typical_alpha_estimate,
 )
 from zeroerr.numopt import korner_entropy
+from zeroerr.symmetry import is_perfect
 from zeroerr.graphs import ZeroErrError
 from zeroerr.rng import SplitMix64
 from zeroerr.verifier import random_distribution, random_graph, sample_perfect_graph
@@ -275,3 +277,79 @@ def test_hbar_reuses_its_powers_for_the_c0_upper_end(monkeypatch):
     iv = hbar_bounds(uniform_pgraph(cycle(5)), max_n=2)
     assert calls == {"is_perfect": 1, "alpha_exact": 0, "square": 1}
     assert iv.lo_cert.details["c0_hi"] == pytest.approx(HALF_LOG2_5)
+
+
+def _count_korner_solves(monkeypatch):
+    from zeroerr import bounds
+
+    calls = []
+    real = bounds.korner_entropy
+
+    def korner_entropy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "korner_entropy", korner_entropy)
+    return calls
+
+
+def test_hbar_c6c8_closes_without_a_korner_solve(monkeypatch):
+    # log chi = 2 above and H(P) - log(3 * 4) below close the interval, so the
+    # 48-vertex product needs no Koerner solve; the report is unchanged
+    calls = _count_korner_solves(monkeypatch)
+    c6, c8 = cycle(6), cycle(8)
+    iv = hbar_bounds(and_product(uniform_pgraph(c6), uniform_pgraph(c8)), factors=[c6, c8])
+    assert calls == []
+    assert iv.to_json_dict("Hbar") == {
+        "quantity": "Hbar", "lo": 2.0000000000000044, "hi": 2.0,
+        "lo_cert": {"method": "marton_capacity_reflect", "registry_version": 1,
+                    "details": {"entropy": 5.5849625007211605, "c0_hi": 3.584962500721156,
+                                "c0_hi_cert": {"method": "clique_cover_power",
+                                               "registry_version": 1,
+                                               "details": {"n": 1, "cover": 12,
+                                                           "exact": True}}}},
+        "hi_cert": {"method": "hchi_power_heuristic", "registry_version": 1,
+                    "details": {"n": 1, "value": 2.0}}}
+
+
+def test_hbar_open_interval_still_runs_the_korner_solve(monkeypatch):
+    calls = _count_korner_solves(monkeypatch)
+    with Budget(nodes=10_000):
+        iv = hbar_bounds(uniform_pgraph(cycle(7)), max_n=2)
+    assert len(calls) == 1
+    assert iv.hi_cert.method == "korner_upper"
+    assert iv.hi == iv.hi_cert.details["value"] == 1.2223924213364477
+
+
+def test_hbar_skips_the_korner_solve_only_where_it_cannot_lower_hi(monkeypatch):
+    # a skipped solve J satisfies J >= H_kappa >= Hbar >= lo >= hi - tol; seeded
+    # random graphs with random weights keep a gap (and run the solve), so the
+    # closed products and powers below carry the skipped cases
+    calls = _count_korner_solves(monkeypatch)
+    tol = 1e-10
+    rng = SplitMix64(17)
+    cases = [(uniform_pgraph(cycle(5)), 2),
+             (uniform_pgraph(and_product_graph(cycle(6), cycle(6))), 1),
+             (uniform_pgraph(and_product_graph(cycle(6), cycle(8))), 1),
+             (uniform_pgraph(graph_from_edges(9, [(i, (i + d) % 9) for i in range(9)
+                                                  for d in (1, 2)])), 1)]
+    drawn = 0
+    while drawn < 100:  # squares only up to 7 vertices, to keep the chi solves short
+        n = 6 + rng.randrange(4)
+        g = random_graph(rng, n, 0.2 + 0.6 * rng.random())
+        if not is_perfect(g)[0]:
+            drawn += 1
+            pg = ProbabilisticGraph(g, random_distribution(rng, n))
+            cases += [(pg, 1)] + [(pg, 2)] * (n <= 7)
+    skipped = 0
+    for pg, max_n in cases:
+        calls.clear()
+        with Budget(nodes=10_000):
+            iv = hbar_bounds(pg, max_n=max_n, korner_tol=tol)
+        if calls:
+            assert len(calls) == 1
+        else:
+            skipped += 1
+            assert iv.hi - iv.lo <= tol
+            assert korner_entropy(pg, tol).value >= iv.hi - tol
+    assert skipped >= 4

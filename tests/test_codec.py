@@ -29,8 +29,6 @@ from zeroerr.codec import (
     build_sum_channel_code,
     channel_roundtrip,
     huffman_code,
-    is_prefix_free,
-    kraft_sum,
     partial_si_roundtrip,
     partial_si_spec_from_json_dict,
     sample_joint,
@@ -45,6 +43,8 @@ from zeroerr.codec import (
 from zeroerr.rng import SplitMix64
 from zeroerr.typicality import typical_set
 from zeroerr.verifier import typewriter_channel
+
+from oracles import is_prefix_free, kraft_sum
 
 TRIALS = 3000
 

@@ -14,6 +14,7 @@ from zeroerr.graphs import (
     Distribution,
     Graph,
     ProbabilisticGraph,
+    Undecided,
     ZeroErrError,
     and_power,
     and_power_graph,
@@ -34,8 +35,9 @@ from zeroerr.graphs import (
     pgraph_from_json_dict,
     uniform_pgraph,
 )
-from zeroerr.numopt import matrix_from_json_dict
-from zeroerr.symmetry import graph_isomorphic
+from zeroerr.combin import chromatic_number_exact
+from zeroerr.numopt import korner_entropy, matrix_from_json_dict
+from zeroerr.symmetry import graph_isomorphic, is_perfect
 
 
 def test_graph_invariants_enforced():
@@ -160,6 +162,56 @@ def test_budget_scope_does_not_reach_a_new_thread():
         worker.start()
         worker.join()
     assert seen == [Budget()]
+
+
+def _count_solves(monkeypatch, solver):
+    calls = []
+    real = solver.__wrapped__
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "__wrapped__", counted)
+    return calls
+
+
+def test_budget_scope_stores_each_solve_once(monkeypatch):
+    calls = _count_solves(monkeypatch, chromatic_number_exact)
+    with Budget():
+        first = chromatic_number_exact(cycle(7))
+        assert chromatic_number_exact(cycle(7)) is first  # an equal graph hits
+        assert len(calls) == 1
+        with Budget(nodes=7):  # another budget: a nested store, dropped on exit
+            assert chromatic_number_exact(cycle(7)) is not first
+            assert len(calls) == 2
+        with Budget():  # an equal budget shapes results alike: the same store
+            assert chromatic_number_exact(cycle(7)) is first
+        assert chromatic_number_exact(cycle(7)) is first
+    assert len(calls) == 2
+    chromatic_number_exact(cycle(7))
+    chromatic_number_exact(cycle(7))
+    assert len(calls) == 4  # outside every scope nothing is stored
+
+
+def test_budget_scope_never_stores_an_exception(monkeypatch):
+    calls = _count_solves(monkeypatch, is_perfect)
+    with Budget():
+        for _ in range(2):
+            with pytest.raises(Undecided):
+                is_perfect(cycle(15))
+    assert len(calls) == 2
+
+
+def test_stored_results_are_immutable():
+    sol = korner_entropy(uniform_pgraph(cycle(5)))
+    for array in (sol.r, sol.cov):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1.0
+    with pytest.raises(AttributeError):
+        sol.value = 0.0
+    assert isinstance(sol.sets, tuple)
+    assert isinstance(is_perfect(cycle(5))[1], tuple)
 
 
 def test_disjoint_union_fig7_weights():

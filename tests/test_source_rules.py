@@ -13,6 +13,11 @@
   it runs.
 - No parameter named `assume_*`: a certificate checks its own
   precondition and no caller can vouch for it instead.
+- No `functools.cache`, `lru_cache` or `cached_property`: the one result
+  store lives in the `graphs.Budget` scope and ends with it, so no result
+  persists from one command to the next, and repeated in-process runs
+  cost what separate processes do.  The one exception caches the CLI's
+  argument parser, which holds no result.
 """
 
 import ast
@@ -24,6 +29,8 @@ BUDGET_PARAMS = {"budget", "vertex_budget"}
 ALLOWED_INLINE_IMPORTS = {
     ("typicality.py", "eta_bounds", "from .bounds import hbar_bounds, scale_interval")}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+CACHES = {"cache", "lru_cache", "cached_property"}
+ALLOWED_CACHES = {("cli.py", "build_parser")}
 
 
 def _modules():
@@ -82,3 +89,25 @@ def test_no_import_inside_a_function():
 def test_no_parameter_assumes_a_precondition():
     found = _params_where(lambda arg: arg.startswith("assume_"))
     assert not found, f"parameters that skip a check: {found}"
+
+
+def _named(node):
+    """(node, identifier) for every name, attribute and imported name under node."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub, sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub, sub.attr
+        elif isinstance(sub, ast.alias):
+            yield sub, sub.name
+
+
+def test_no_process_wide_cache():
+    found = []
+    for name, tree in _modules():
+        allowed = {id(sub) for fn in ast.walk(tree)
+                   if isinstance(fn, ast.FunctionDef) and (name, fn.name) in ALLOWED_CACHES
+                   for d in fn.decorator_list for sub, _ in _named(d)}
+        found += [f"{name}:{sub.lineno} {ident}" for sub, ident in _named(tree)
+                  if ident in CACHES and id(sub) not in allowed]
+    assert not found, f"caches outside the Budget scope's store: {found}"

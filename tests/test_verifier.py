@@ -1,7 +1,9 @@
 """Verifier plumbing: statuses, budget semantics, filtering, determinism."""
 
 import json
+from collections import Counter
 
+from zeroerr import combin, numopt, symmetry
 from zeroerr.graphs import Budget
 from zeroerr.verifier import (
     SCENARIOS,
@@ -72,3 +74,26 @@ def test_suite_deterministic_across_thread_knob():
     rep1 = full_suite(VerifyConfig(trials=150, tags=("codec",)))
     rep2 = full_suite(VerifyConfig(trials=150, tags=("codec",)))
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
+
+
+def test_suite_solves_each_graph_once_in_one_scope(monkeypatch):
+    # under one Budget scope, as in `zeroerr verify`, the store leaves no
+    # repeated solve (a raising one, never stored, is not counted); the
+    # report is the one the suite gives with no store
+    solves = Counter()
+    for solver in (combin.alpha_exact, combin.chromatic_number_exact,
+                   combin.clique_cover_number, symmetry.is_perfect, numopt.korner_entropy):
+        def counted(*args, _real=solver.__wrapped__, _name=solver.__name__, **kwargs):
+            result = _real(*args, **kwargs)
+            solves[_name, args, tuple(kwargs.items())] += 1
+            return result
+
+        monkeypatch.setattr(solver, "__wrapped__", counted)
+    with Budget():
+        stored = full_suite(FAST_CFG)
+    assert solves and max(solves.values()) == 1
+    assert {name for name, _, _ in solves} == {
+        "alpha_exact", "chromatic_number_exact", "clique_cover_number",
+        "is_perfect", "korner_entropy"}
+    monkeypatch.undo()
+    assert json.dumps(stored, sort_keys=True) == json.dumps(full_suite(FAST_CFG), sort_keys=True)
