@@ -39,10 +39,8 @@ from .combin import (
 )
 from .symmetry import (
     find_odd_hole,
-    is_edge_transitive,
     is_isomorphic,
     is_perfect,
-    is_vertex_transitive,
     srg_parameters,
 )
 from .numopt import (
@@ -62,7 +60,6 @@ from .bounds import (
     c_rel_bounds,
     h0_bounds,
     hbar_bounds,
-    typical_alpha_estimate,
 )
 from .typicality import (
     SequenceType,
@@ -70,6 +67,7 @@ from .typicality import (
     eta_bounds,
     type_of,
     type_split,
+    typical_alpha_estimate,
     typical_induced_subgraph,
     typical_set,
 )

@@ -5,7 +5,7 @@ closed registry below.  Only two directions are ever certified:
 supremum-from-superadditivity for lower ends and
 infimum-from-subadditivity (or single-shot sound bounds) for upper ends.
 Quantities whose finite truncations bound the wrong way are exposed as
-flagged estimates instead.
+flagged estimates in `typicality` instead.
 """
 
 from __future__ import annotations
@@ -27,9 +27,9 @@ from .combin import (
     min_entropy_coloring,
     omega_exact,
 )
-from .numopt import adjacency_plus_identity, haemers_bound, korner_entropy, theta_transitive
+from .numopt import (THETA_VERTEX_LIMIT, adjacency_plus_identity, haemers_bound,
+                     korner_entropy, theta_transitive)
 from .symmetry import is_perfect
-from .typicality import typical_induced_subgraph
 
 REGISTRY_VERSION = 1
 
@@ -38,7 +38,8 @@ METHOD_REGISTRY = frozenset({
     "perfect_alpha",               # lo=hi C0 on certified perfect graphs
     "clique_cover_power",          # hi C0: (1/n) log cover(G^n)
     "product_clique_cover",        # hi C0: covers multiply across AND factors
-    "lovasz_theta_transitive",     # hi C0: eigenvalue theta, transitive graphs
+    "lovasz_theta_transitive",     # hi C0: Thm 9 bound on regular graphs, theta
+                                   # when edge-transitive; detail `theta` is that bound
     "haemers_rank",                # hi C0: log2 rank of a fitting matrix
     "omega_one_shot",              # lo H0: log omega(G)
     "chi_power",                   # hi H0 (and hi Hbar): (1/n) log chi(G^n)
@@ -146,12 +147,9 @@ def _c0_upper(g: Graph, powers, factors) -> list:
                       Certificate("product_clique_cover",
                                   {"factor_covers": [c.count for c in covers],
                                    "exact": all(c.exact for c in covers)})))
-    if g.is_regular() and g.degree(0) > 0:
-        try:
-            th = theta_transitive(g)
-            cands.append((math.log2(th), Certificate("lovasz_theta_transitive", {"theta": th})))
-        except (ZeroErrError, Undecided):
-            pass
+    if g.is_regular() and g.degree(0) > 0 and g.n <= THETA_VERTEX_LIMIT:
+        th = theta_transitive(g)
+        cands.append((math.log2(th), Certificate("lovasz_theta_transitive", {"theta": th})))
     for p in (2, 3):
         try:
             cands.append((haemers_bound(g, adjacency_plus_identity(g, p)),
@@ -284,29 +282,3 @@ def c_rel_bounds(pg: ProbabilisticGraph, max_n: int = 1, **kwargs) -> BoundInter
         Certificate("marton_reflect", {"entropy": h, "from": hbar.hi_cert}),
         Certificate("marton_reflect", {"entropy": h, "from": hbar.lo_cert}),
     )
-
-
-# ---------------------------------------------------------------------------
-# flagged estimate (not certified)
-
-
-@dataclass(frozen=True)
-class Estimate:
-    value: float
-    certified: bool
-    note: str
-    details: dict = field(default_factory=dict)
-
-
-def typical_alpha_estimate(pg: ProbabilisticGraph, n: int, eps: float) -> Estimate:
-    """(1/n) log alpha(G^n[typical set]): an estimate of C(G,P).
-
-    The double limit in the definition of C(G,P) prevents a one-sided
-    finite-(n, eps) certificate, so this value is explicitly non-certified.
-    """
-    sub, members = typical_induced_subgraph(pg, n, eps)
-    a = alpha_exact(sub.graph)
-    return Estimate(math.log2(a.size) / n, False,
-                    "non-certified estimate of C(G,P)",
-                    {"n": n, "eps": eps, "alpha": a.size,
-                     "typical_count": len(members), "alpha_exact": a.exact})

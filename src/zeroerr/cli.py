@@ -58,8 +58,8 @@ from .numopt import (
     korner_entropy,
     matrix_from_json_dict,
 )
-from .bounds import c0_bounds, c_rel_bounds, h0_bounds, hbar_bounds, typical_alpha_estimate
-from .typicality import eta_bounds
+from .bounds import c0_bounds, c_rel_bounds, h0_bounds, hbar_bounds
+from .typicality import eta_bounds, typical_alpha_estimate
 from .codec import (
     build_channel_code,
     build_partial_si_code,

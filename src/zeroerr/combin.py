@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .graphs import (
     Budget,
+    BudgetExceeded,
     Graph,
     ProbabilisticGraph,
     ZeroErrError,
@@ -449,7 +450,7 @@ def _maximal_sets(rows, within: int, w, delta: float, best: float, limit: int) -
     heaviest, `best` at most top).  A branch is cut when its set's mass, plus
     the heaviest weight of each class of a greedy clique partition of its
     candidates, plus a rounding slack falls below best - delta, best rising
-    with each set found.  More than `limit` sets collected raise ZeroErrError."""
+    with each set found.  More than `limit` sets collected raise BudgetExceeded."""
     # a cut rests on four float sums of weights, each within n u S of its
     # true value (S the total, u = 2**-53), and on a few roundings
     slack = 4 * 2.0 ** -53 * (len(w) + 8) * sum(w)
@@ -465,7 +466,7 @@ def _maximal_sets(rows, within: int, w, delta: float, best: float, limit: int) -
                     best, cut = r_mass, r_mass - delta - slack
                 out.append(r)
                 if len(out) > limit:
-                    raise ZeroErrError(f"more than {limit} maximal independent sets")
+                    raise BudgetExceeded(f"more than {limit} maximal independent sets")
             return
         if r_mass < cut:
             need, bound, rest = cut - r_mass, 0.0, p
@@ -516,7 +517,7 @@ def _maximal_sets(rows, within: int, w, delta: float, best: float, limit: int) -
 
 def mis_masks(g: Graph, limit: int = 1_000_000) -> list:
     """All inclusion-maximal independent sets as vertex bitsets, sorted
-    numerically for determinism; more than `limit` raise ZeroErrError."""
+    numerically for determinism; more than `limit` raise BudgetExceeded."""
     return sorted(_maximal_sets(g.rows, (1 << g.n) - 1, [0.0] * g.n, math.inf, -1.0, limit))
 
 

@@ -1,7 +1,7 @@
 """Convex and numerical solvers: Koerner graph entropy, capacity maximizers,
-sum-of-channels weights, eigenvalue theta for transitive graphs, finite-field
-rank bound.  Each checks its own precondition (perfect graphs for capacity,
-vertex- and edge-transitive ones for theta); no caller can vouch for one.
+sum-of-channels weights, an eigenvalue bound on theta for regular graphs,
+finite-field rank bound.  Each checks its own precondition (perfect graphs
+for capacity, regular ones for theta); no caller can vouch for one.
 
 Everything is in bits (log base 2).
 """
@@ -18,16 +18,18 @@ from .graphs import (
     Distribution,
     Graph,
     ProbabilisticGraph,
+    Undecided,
     ZeroErrError,
     bits_of,
     solved_once,
 )
 from .combin import mis_masks
-from .symmetry import is_edge_transitive, is_perfect, is_vertex_transitive
+from .symmetry import is_perfect
 
 LN2 = math.log(2.0)
 CAPACITY_KORNER_TOL = 1e-10  # Koerner tolerance of each capacity evaluation
 KORNER_HISTORY_FLOATS = 4096  # iterate rows one Koerner look-ahead block keeps
+THETA_VERTEX_LIMIT = 32  # largest graph the Jacobi eigenvalue solve takes
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +328,7 @@ def sum_channel_weights(c0_values):
 
 
 # ---------------------------------------------------------------------------
-# eigenvalue theta for vertex- and edge-transitive graphs
+# eigenvalue bound on theta for regular graphs
 
 
 def jacobi_eigenvalues(matrix: np.ndarray, off_threshold: float = 1e-12,
@@ -362,13 +364,16 @@ def jacobi_eigenvalues(matrix: np.ndarray, off_threshold: float = 1e-12,
     return np.sort(np.diag(a))
 
 
+@solved_once
 def theta_transitive(g: Graph) -> float:
-    """Lovasz number for regular vertex- and edge-transitive graphs via the
-    eigenvalue formula theta = n (-lambda_min) / (d - lambda_min).
+    """Lovasz's bound n (-lambda_min) / (d - lambda_min) on theta of a
+    d-regular graph (Lovasz 1979, Thm 9): J - tA with t = n / (d - lambda_min)
+    is feasible for the dual of theta, and the bound is its largest
+    eigenvalue.  Equality holds on edge-transitive graphs.
 
-    log2 of the result is a certified upper bound on the zero-error capacity
-    under the stated precondition.  Refuses graphs that are not regular,
-    vertex-transitive and edge-transitive.
+    log2 of the result is a certified upper bound on the zero-error capacity.
+    Refuses graphs that are not regular; above THETA_VERTEX_LIMIT vertices
+    raises Undecided.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -377,10 +382,9 @@ def theta_transitive(g: Graph) -> float:
     d = g.degree(0)
     if d == 0:
         return float(g.n)
-    if not is_vertex_transitive(g):
-        raise ZeroErrError("graph is not vertex-transitive")
-    if not is_edge_transitive(g):
-        raise ZeroErrError("graph is not edge-transitive")
+    if g.n > THETA_VERTEX_LIMIT:
+        raise Undecided("undecided (budget): theta eigenvalue bound limited "
+                        f"to {THETA_VERTEX_LIMIT} vertices")
     adj = np.zeros((g.n, g.n))
     for i in range(g.n):
         for j in bits_of(g.rows[i]):

@@ -1,11 +1,10 @@
-"""Isomorphism, automorphism, transitivity and perfectness tests.
+"""Isomorphism, automorphism and perfectness tests.
 
 The isomorphism engine is partition-refinement backtracking with bitset
-forward checking and an explicit node budget.  It is not a canonical-labeling
-engine; it is sound and complete within its budget and raises Undecided
-beyond it, which is enough for the highly symmetric catalog graphs this
-package cares about.  The transitivity tests keep the automorphisms they
-find and search only for targets outside the orbit those already span.
+forward checking, bounded by the node limit of the `graphs.Budget` scope.
+It is not a canonical-labeling engine; it is sound and complete within its
+budget and raises Undecided beyond it, which is enough for the highly
+symmetric catalog graphs this package cares about.
 """
 
 from __future__ import annotations
@@ -14,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .graphs import (
+    Budget,
     Graph,
     ProbabilisticGraph,
     Undecided,
@@ -23,11 +23,7 @@ from .graphs import (
     solved_once,
 )
 
-# Not the `graphs.Budget` scope: the theta certificate of `bounds` would
-# otherwise move with --node-budget.
-DEFAULT_NODE_BUDGET = 10_000_000
 ISO_VERTEX_LIMIT = 64
-TRANSITIVITY_VERTEX_LIMIT = 32
 PERFECT_VERTEX_LIMIT = 14
 
 
@@ -79,6 +75,7 @@ class _IsoSearch:
     def __init__(self, g1: Graph, g2: Graph, colors1, colors2):
         self.g1, self.g2 = g1, g2
         self.colors1, self.colors2 = list(colors1), list(colors2)
+        self.node_limit = Budget.current().nodes
         self.nodes = 0
 
     def run(self, forced=()):
@@ -145,7 +142,7 @@ class _IsoSearch:
         if not unmapped:
             return list(mapping)
         self.nodes += 1
-        if self.nodes > DEFAULT_NODE_BUDGET:
+        if self.nodes > self.node_limit:
             raise Undecided("undecided (budget)")
         v = min(unmapped, key=lambda u: popcount(cand[u]))
         for w in bits_of(cand[v]):
@@ -206,64 +203,6 @@ def find_automorphism(g: Graph, forced):
     """Automorphism of g with prescribed images `forced` = [(v, image)]."""
     colors = _degree_colors(g)
     return _IsoSearch(g, g, colors, colors).run(forced)
-
-
-def _reaches_all(start, targets, image, search) -> bool:
-    """True iff the automorphisms that `search(x)` finds, each mapping
-    `start` to x, span a group whose orbit of `start` holds every target.
-    Only targets outside the orbit of those found so far are searched; the
-    orbit is a BFS over them as generators (a finite group needs no
-    inverses), `image(p, x)` being the image of x under p."""
-    gens, orbit = [], {start}
-    for x in targets:
-        if x in orbit:
-            continue
-        p = search(x)
-        if p is None:
-            return False
-        gens.append(p)
-        todo = list(orbit)
-        while todo:
-            y = todo.pop()
-            for q in gens:
-                z = image(q, y)
-                if z not in orbit:
-                    orbit.add(z)
-                    todo.append(z)
-    return True
-
-
-def is_vertex_transitive(g: Graph) -> bool:
-    """True iff some automorphism maps vertex 0 to every other vertex; only
-    vertices outside the orbit of the automorphisms found so far are
-    searched."""
-    if g.n > TRANSITIVITY_VERTEX_LIMIT:
-        raise Undecided("undecided (budget): graph too large for transitivity search")
-    if g.n <= 1:
-        return True
-    if not g.is_regular():
-        return False
-    return _reaches_all(0, range(1, g.n), lambda p, v: p[v],
-                        lambda v: find_automorphism(g, [(0, v)]))
-
-
-def is_edge_transitive(g: Graph) -> bool:
-    """True iff the automorphism group is transitive on unordered edges; only
-    edges outside the orbit of the automorphisms found so far are searched."""
-    if g.n > TRANSITIVITY_VERTEX_LIMIT:
-        raise Undecided("undecided (budget): graph too large for transitivity search")
-    edges = g.edges()
-    if len(edges) <= 1:
-        return True
-    s, t = edges[0]
-
-    def search(e):
-        u, v = sorted(e)
-        p = find_automorphism(g, [(s, u), (t, v)])
-        return p if p is not None else find_automorphism(g, [(s, v), (t, u)])
-
-    return _reaches_all(frozenset(edges[0]), map(frozenset, edges[1:]),
-                        lambda p, e: frozenset(p[x] for x in e), search)
 
 
 # ---------------------------------------------------------------------------

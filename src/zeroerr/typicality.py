@@ -1,6 +1,6 @@
 """Method-of-types machinery: sequence types, typical sets, typical induced
-subgraphs, type splitting, and the finite evaluation of the union-entropy
-function eta on rational weightings.
+subgraphs and the flagged alpha estimate on them, type splitting, and the
+finite evaluation of the union-entropy function eta on rational weightings.
 
 Typicality is the infinity norm on types: x^n is eps-typical for P iff
 max_a |T(a) - P(a)| <= eps.
@@ -9,7 +9,7 @@ max_a |T(a) - P(a)| <= eps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .graphs import (
@@ -20,6 +20,8 @@ from .graphs import (
     and_product,
     induced_subgraph,
 )
+from .combin import alpha_exact
+from .bounds import hbar_bounds, scale_interval
 from .rng import SplitMix64
 
 ENUM_LIMIT = 1 << 24  # most typical sequences `members` materializes
@@ -182,6 +184,28 @@ def typical_induced_subgraph(pg: ProbabilisticGraph, n: int, eps: float):
     return induced_subgraph(power, keep, renormalize=True), members
 
 
+@dataclass(frozen=True)
+class Estimate:
+    value: float
+    certified: bool
+    note: str
+    details: dict = field(default_factory=dict)
+
+
+def typical_alpha_estimate(pg: ProbabilisticGraph, n: int, eps: float) -> Estimate:
+    """(1/n) log alpha(G^n[typical set]): an estimate of C(G,P).
+
+    The double limit in the definition of C(G,P) prevents a one-sided
+    finite-(n, eps) certificate, so this value is explicitly non-certified.
+    """
+    sub, members = typical_induced_subgraph(pg, n, eps)
+    a = alpha_exact(sub.graph)
+    return Estimate(math.log2(a.size) / n, False,
+                    "non-certified estimate of C(G,P)",
+                    {"n": n, "eps": eps, "alpha": a.size,
+                     "typical_count": len(members), "alpha_exact": a.exact})
+
+
 # ---------------------------------------------------------------------------
 # type splitting
 
@@ -260,8 +284,6 @@ def eta_bounds(parts, p_a, max_n: int = 1, **bound_kwargs):
 
     Returns (interval, product graph, k).
     """
-    from .bounds import hbar_bounds, scale_interval  # deferred: bounds imports us
-
     parts = list(parts)
     raw = p_a.weights if isinstance(p_a, Distribution) else tuple(p_a)
     if not all(isinstance(w, (Fraction, int)) for w in raw):

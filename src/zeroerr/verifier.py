@@ -509,16 +509,14 @@ def _sc_schlafli(cfg):
     iv_s = c0_bounds(s)
     checks.append(_close("c0(S) = log 3", iv_s.midpoint, math.log2(3), 1e-6))
     checks.append(_leq("c0(S) width", iv_s.width, 1e-6))
-    if cfg.haemers_matrix is not None:
-        hb = haemers_bound(sbar, cfg.haemers_matrix)
-        strict = math.log2(3) + hb < math.log2(27) - 1e-9
-        checks.append(Check("C0-level strictness with user fitting matrix",
-                            strict, math.log2(3) + hb, math.log2(27), 1e-9))
+    # strictness: the independent diagonal puts c0(S x S-bar) at log 27 or more
+    if cfg.haemers_matrix is None:
+        sb_hi, note = c0_bounds(sbar).hi, ""
     else:
-        checks.append(Check(
-            "C0-level strictness", True, "alpha-level only", "conditional", 0.0,
-            note="conditional on a user-supplied fitting matrix with rank 7 "
-                 "for the Schlafli complement"))
+        sb_hi, note = haemers_bound(sbar, cfg.haemers_matrix), "S-bar end: user fitting matrix"
+    total = iv_s.hi + sb_hi
+    checks.append(Check("C0-level strictness", total < math.log2(27) - 1e-9,
+                        total, math.log2(27), 1e-9, note))
     return checks
 
 

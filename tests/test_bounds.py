@@ -26,9 +26,9 @@ from zeroerr.bounds import (
     c_rel_bounds,
     h0_bounds,
     hbar_bounds,
-    typical_alpha_estimate,
 )
 from zeroerr.numopt import korner_entropy
+from zeroerr.typicality import typical_alpha_estimate
 from zeroerr.symmetry import is_perfect
 from zeroerr.graphs import ZeroErrError
 from zeroerr.rng import SplitMix64

@@ -223,6 +223,16 @@ def test_error_paths(tmp_path, capsys):
     assert code == 2 and "undecided" in err
 
 
+def test_solve_mis_above_its_limit_is_undecided(tmp_path, capsys):
+    # C5 has 5 maximal independent sets: a limit of 3 is a budget refusal
+    g = tmp_path / "c5.json"
+    run(capsys, "graph", "catalog", "--name", "cycle", "--n", "5", "--out", str(g))
+    code, stdout, err = run(capsys, "solve", "mis", "--graph", str(g), "--mis-limit", "3")
+    assert (code, stdout) == (2, "") and "undecided: more than 3 maximal" in err
+    code, stdout, _ = run(capsys, "solve", "mis", "--graph", str(g), "--mis-limit", "5")
+    assert code == 0 and json.loads(stdout)["count"] == 5
+
+
 def test_usage_errors_exit_1_and_help_exits_0(tmp_path, capsys):
     # argparse's own exit code would be 2, which means undecided
     g = tmp_path / "c6.json"
@@ -314,17 +324,17 @@ def test_time_budget_out_of_range_is_an_error(tmp_path, capsys):
 
 
 def test_time_budget_aborts_through_swallowing_handlers(tmp_path, capsys, monkeypatch):
-    """The theta candidate of the C0 upper end swallows ZeroErrError and
-    Undecided; the time limit still aborts the command inside it."""
-    real = bounds.theta_transitive
+    """The Haemers candidates of the C0 upper end swallow ZeroErrError; the
+    time limit still aborts the command inside them."""
+    real = bounds.haemers_bound
 
-    def slow_theta(g):
+    def slow_haemers(g, b):
         end = time.monotonic() + 1.0
         while time.monotonic() < end:
             pass
-        return real(g)
+        return real(g, b)
 
-    monkeypatch.setattr(bounds, "theta_transitive", slow_theta)
+    monkeypatch.setattr(bounds, "haemers_bound", slow_haemers)
     g = tmp_path / "c5.json"
     run(capsys, "graph", "catalog", "--name", "cycle", "--n", "5", "--out", str(g))
     code, stdout, err = run(capsys, "bounds", "c0", "--graph", str(g),

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from zeroerr.graphs import (
+    BudgetExceeded,
     Budget,
     Distribution,
     ProbabilisticGraph,
@@ -599,7 +600,7 @@ def test_hchi_heuristic_matches_reference_peel_property(n, data, kind):
 def test_hchi_heuristic_mis_limit_still_raises():
     # four disjoint edges: 2**4 = 16 maximal independent sets
     pg = uniform_pgraph(graph_from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)]))
-    with pytest.raises(ZeroErrError, match="more than 10 maximal independent sets"):
+    with pytest.raises(BudgetExceeded, match="more than 10 maximal independent sets"):
         min_entropy_coloring(pg, "heuristic", limit=10)
     assert min_entropy_coloring(pg, "heuristic", limit=16).value == pytest.approx(1.0)
 

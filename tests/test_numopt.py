@@ -9,6 +9,7 @@ import pytest
 from zeroerr.graphs import (
     Distribution,
     ProbabilisticGraph,
+    Undecided,
     ZeroErrError,
     and_product_graph,
     catalog_get,
@@ -328,19 +329,93 @@ def test_jacobi_eigenvalues():
         assert np.allclose(ours, ref, atol=1e-9)
 
 
+PRISM = graph_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
+                             (0, 3), (1, 4), (2, 5)])
+
+
 def test_theta_values():
     assert theta_transitive(cycle(5)) == pytest.approx(math.sqrt(5), abs=1e-6)
     s = catalog_get("schlafli")
     assert theta_transitive(s) == pytest.approx(3.0, abs=1e-6)
     assert theta_transitive(complement(s)) == pytest.approx(9.0, abs=1e-6)
     assert theta_transitive(complete(4)) == pytest.approx(1.0, abs=1e-9)
+    # the bits certificates and goldens carry
+    assert [theta_transitive(g) for g in (cycle(5), cycle(7), s, complement(s))] == [
+        2.2360679774997907, 3.3176672073940985, 3.0000000000000067, 9.00000000000003]
     with pytest.raises(ZeroErrError, match="regular"):
         theta_transitive(path(3))
-    # triangular prism: 3-regular and vertex- but not edge-transitive
-    prism = graph_from_edges(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3),
-                                 (0, 3), (1, 4), (2, 5)])
-    with pytest.raises(ZeroErrError, match="edge-transitive"):
-        theta_transitive(prism)
+    # triangular prism: 3-regular, vertex- but not edge-transitive, eigenvalues
+    # 3, 1, 0, 0, -2, -2; the bound 6 * 2 / (3 + 2) lies above theta = alpha = 2
+    assert theta_transitive(PRISM) == pytest.approx(12 / 5, abs=1e-9)
+    assert theta_transitive(empty(40)) == 40.0
+    with pytest.raises(Undecided):
+        theta_transitive(cycle(numopt.THETA_VERTEX_LIMIT + 1))
+
+
+def _circulant(n, jumps):
+    return graph_from_edges(n, {tuple(sorted((i, (i + k) % n))) for i in range(n)
+                                for k in jumps})
+
+
+def _union(*graphs):
+    edges, base = [], 0
+    for g in graphs:
+        edges += [(base + i, base + j) for i, j in g.edges()]
+        base += g.n
+    return graph_from_edges(base, edges)
+
+
+PETERSEN = graph_from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                            + [(i, i + 5) for i in range(5)]
+                            + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def _regular_graphs():
+    """(name, graph, theta or None): regular inputs of the eigenvalue bound,
+    with theta's closed form on the edge-transitive ones."""
+    out = []
+    for n in range(3, 13):
+        closed = n / 2 if n % 2 == 0 else n * math.cos(math.pi / n) / (1 + math.cos(math.pi / n))
+        out.append((f"C{n}", cycle(n), closed))
+    rng = SplitMix64(44)
+    for _ in range(6):
+        n = 5 + rng.randrange(10)
+        k = 2 + rng.randrange(n // 2 - 1)
+        out.append((f"C{n}(1,{k})", _circulant(n, (1, k)), None))
+    out += [(f"K{n}", complete(n), 1.0) for n in range(2, 7)]
+    s = catalog_get("schlafli")
+    out += [
+        ("C5+C6", _union(cycle(5), cycle(6)), None),
+        ("K4+K33", _union(complete(4), complement(_union(complete(3), complete(3)))), None),
+        ("prism", PRISM, None),
+        ("C6xC5", and_product_graph(cycle(6), cycle(5)), None),
+        ("petersen", PETERSEN, 4.0),
+        ("schlafli", s, 3.0),
+        ("schlafli-bar", complement(s), 9.0),
+    ]
+    return out
+
+
+REGULAR_GRAPHS = _regular_graphs()
+
+
+@pytest.mark.parametrize("name, g, closed", REGULAR_GRAPHS,
+                         ids=[name for name, _, _ in REGULAR_GRAPHS])
+def test_theta_bound_is_a_feasible_dual_certificate(name, g, closed):
+    # Lovasz 1979, Thm 9: M = J - tA, t = n / (d - lambda_min), is 1 on the
+    # diagonal and on non-edges, so theta <= lambda_max(M) = the bound
+    assert g.is_regular() and g.n <= numopt.THETA_VERTEX_LIMIT
+    value = theta_transitive(g)
+    adj = np.array([[float(g.has_edge(i, j)) for j in range(g.n)] for i in range(g.n)])
+    d = g.degree(0)
+    t = g.n / (d - np.linalg.eigvalsh(adj)[0])
+    m = np.ones((g.n, g.n)) - t * adj
+    assert all(m[i, j] == 1.0 for i in range(g.n) for j in range(g.n)
+               if i == j or not g.has_edge(i, j))
+    assert np.linalg.eigvalsh(m)[-1] <= value + 1e-9
+    assert value >= alpha_exact(g).size - 1e-9
+    if closed is not None:
+        assert value == pytest.approx(closed, abs=1e-9)
 
 
 def test_gf_rank_oracle():

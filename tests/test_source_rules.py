@@ -8,9 +8,7 @@
   budgets count nodes, and the CLI's whole-command time limit is a timer
   signal, not a clock read.
 - Every import sits at the top of its module, where a reader sees what a
-  module depends on.  The one exception breaks a real cycle: `bounds`
-  imports `typicality`, so `typicality.eta_bounds` imports `bounds` when
-  it runs.
+  module depends on.
 - No parameter named `assume_*`: a certificate checks its own
   precondition and no caller can vouch for it instead.
 - No `functools.cache`, `lru_cache` or `cached_property`: the one result
@@ -26,8 +24,6 @@ from pathlib import Path
 import zeroerr
 
 BUDGET_PARAMS = {"budget", "vertex_budget"}
-ALLOWED_INLINE_IMPORTS = {
-    ("typicality.py", "eta_bounds", "from .bounds import hbar_bounds, scale_interval")}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 CACHES = {"cache", "lru_cache", "cached_property"}
 ALLOWED_CACHES = {("cli.py", "build_parser")}
@@ -82,8 +78,7 @@ def test_no_import_inside_a_function():
              for name, tree in _modules() for fn in ast.walk(tree)
              if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
-    extra = found - ALLOWED_INLINE_IMPORTS
-    assert not extra, f"imports inside functions: {sorted(extra)}"
+    assert not found, f"imports inside functions: {sorted(found)}"
 
 
 def test_no_parameter_assumes_a_precondition():

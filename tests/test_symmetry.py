@@ -1,8 +1,9 @@
-"""Isomorphism, automorphisms, transitivity, perfectness, SRG checks."""
+"""Isomorphism, automorphisms, perfectness, SRG checks."""
 
 import pytest
 
 from zeroerr.graphs import (
+    Budget,
     Distribution,
     ProbabilisticGraph,
     Undecided,
@@ -13,16 +14,14 @@ from zeroerr.graphs import (
     path,
     uniform_pgraph,
 )
-from zeroerr import symmetry
 from zeroerr.rng import SplitMix64
 from zeroerr.verifier import random_graph
 from zeroerr.symmetry import (
+    find_automorphism,
     find_odd_hole,
     graph_isomorphic,
-    is_edge_transitive,
     is_isomorphic,
     is_perfect,
-    is_vertex_transitive,
     srg_parameters,
 )
 
@@ -57,19 +56,16 @@ def test_isomorphism_budget():
         is_isomorphic(big, big)
 
 
-def test_vertex_transitivity():
-    assert is_vertex_transitive(cycle(7))
-    assert not is_vertex_transitive(path(3))
-    assert is_vertex_transitive(catalog_get("schlafli"))
-
-
-def test_edge_transitivity():
-    assert is_edge_transitive(cycle(6))
-    s = catalog_get("schlafli")
-    assert is_edge_transitive(s)
-    # a kite: edges in the triangle differ from the tail edge
-    kite = graph_from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3)])
-    assert not is_edge_transitive(kite)
+def test_isomorphism_search_reads_the_budget_scope():
+    # fixing one Petersen vertex leaves a stabilizer of order 12: the search
+    # must branch, and the node limit of the active scope stops it
+    g = graph_from_edges(10, PETERSEN_EDGES)
+    assert find_automorphism(g, [(0, 1)]) is not None
+    with Budget(nodes=0):
+        with pytest.raises(Undecided):
+            find_automorphism(g, [(0, 1)])
+        with pytest.raises(Undecided):
+            graph_isomorphic(g, g)
 
 
 def _nx(g):
@@ -91,6 +87,30 @@ def _nx_transitivity(g):
     return vertex, edge
 
 
+def _automorphism(g, forced):
+    """`find_automorphism(g, forced)`, checked to be an automorphism of g
+    that keeps every prescribed image when it is not None."""
+    p = find_automorphism(g, forced)
+    if p is not None:
+        assert sorted(p) == list(range(g.n))
+        assert all(g.has_edge(p[i], p[j]) for i, j in g.edges())
+        assert all(p[v] == w for v, w in forced)
+    return p
+
+
+def _transitivity(g):
+    """(vertex-, edge-transitive) from one automorphism search per target:
+    0 to every vertex, the first edge onto every edge either way round."""
+    edges = g.edges()
+    vertex = all(_automorphism(g, [(0, v)]) is not None for v in range(g.n))
+    if not edges:
+        return vertex, True
+    s, t = edges[0]
+    edge = all(_automorphism(g, [(s, u), (t, v)]) is not None
+               or _automorphism(g, [(s, v), (t, u)]) is not None for u, v in edges)
+    return vertex, edge
+
+
 PETERSEN_EDGES = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in range(5)]
                   + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
 
@@ -106,41 +126,27 @@ PETERSEN_EDGES = ([(i, (i + 1) % 5) for i in range(5)] + [(i, i + 5) for i in ra
     (PETERSEN_EDGES, 10, (True, True)),
 ], ids=["prism", "K13", "K23", "kite", "C5", "C8", "petersen"])
 def test_transitivity_hand_picked_cases(edges, n, expected):
+    # the automorphisms `find_automorphism` finds, with one or two prescribed
+    # images, decide both transitivity questions as networkx does
     g = graph_from_edges(n, edges)
-    assert (is_vertex_transitive(g), is_edge_transitive(g)) == expected
+    assert _transitivity(g) == expected
     assert _nx_transitivity(g) == expected
 
 
-def test_transitivity_against_networkx_orbits():
+def test_find_automorphism_against_networkx_orbits():
+    # an automorphism mapping 0 to v is found exactly when v is in the orbit
+    # of 0 under every automorphism networkx enumerates
     rng = SplitMix64(101)
-    seen = set()
+    orbit_sizes = set()
     for _ in range(300):
         g = random_graph(rng, 4 + rng.randrange(5), 0.2 + 0.6 * rng.random())
-        got = (is_vertex_transitive(g), is_edge_transitive(g))
-        assert got == _nx_transitivity(g), g.edges()
-        seen.add(got)
-    # the sample mixes transitive and intransitive graphs on both counts
-    assert len(seen) >= 3
-
-
-def test_edge_transitivity_searches_outside_known_orbits(monkeypatch):
-    # the Schlafli graph has 216 edges; the searches that find its
-    # automorphism group's generators are few, and each is an automorphism
-    found = []
-    real = symmetry.find_automorphism
-
-    def counted(g, forced):
-        p = real(g, forced)
-        found.append(p)
-        return p
-
-    monkeypatch.setattr(symmetry, "find_automorphism", counted)
-    s = catalog_get("schlafli")
-    assert is_edge_transitive(s)
-    assert 1 <= len(found) <= 10
-    for p in found:
-        assert p is not None and sorted(p) == list(range(s.n))
-        assert all(s.has_edge(p[i], p[j]) for i, j in s.edges())
+        nx, ng = _nx(g)
+        orbit = {a[0] for a in nx.isomorphism.GraphMatcher(ng, ng).isomorphisms_iter()}
+        found = {v for v in range(g.n) if _automorphism(g, [(0, v)]) is not None}
+        assert found == orbit, g.edges()
+        orbit_sizes.add(len(orbit) == g.n)
+    # the sample holds vertex-transitive graphs and others
+    assert orbit_sizes == {True, False}
 
 
 def test_perfectness_basics():

@@ -1,6 +1,7 @@
 """Verifier plumbing: statuses, budget semantics, filtering, determinism."""
 
 import json
+import math
 from collections import Counter
 
 from zeroerr import combin, numopt, symmetry
@@ -54,10 +55,14 @@ def test_tag_filter():
     assert rep["scenarios"][0]["id"] == "schlafli-strict"
 
 
-def test_schlafli_conditional_note_without_matrix():
+def test_schlafli_strictness_certified_without_matrix():
+    # c0(S) <= log 3 (theta) and c0(S-bar) <= log 7 (A+I over GF(2)) sum
+    # below log 27 with no user fitting matrix
     rep = run_scenario(_by_id("schlafli-strict"), FAST_CFG)
-    notes = [c.get("note", "") for c in rep["checks"]]
-    assert any("fitting matrix" in n for n in notes)
+    check = next(c for c in rep["checks"] if c["name"] == "C0-level strictness")
+    assert check["ok"] and "note" not in check
+    assert abs(check["measured"] - math.log2(21)) < 1e-8  # reports keep 9 digits
+    assert abs(check["target"] - math.log2(27)) < 1e-8
 
 
 def test_report_csv_format():
@@ -82,7 +87,8 @@ def test_suite_solves_each_graph_once_in_one_scope(monkeypatch):
     # report is the one the suite gives with no store
     solves = Counter()
     for solver in (combin.alpha_exact, combin.chromatic_number_exact,
-                   combin.clique_cover_number, symmetry.is_perfect, numopt.korner_entropy):
+                   combin.clique_cover_number, symmetry.is_perfect, numopt.korner_entropy,
+                   numopt.theta_transitive):
         def counted(*args, _real=solver.__wrapped__, _name=solver.__name__, **kwargs):
             result = _real(*args, **kwargs)
             solves[_name, args, tuple(kwargs.items())] += 1
@@ -94,6 +100,6 @@ def test_suite_solves_each_graph_once_in_one_scope(monkeypatch):
     assert solves and max(solves.values()) == 1
     assert {name for name, _, _ in solves} == {
         "alpha_exact", "chromatic_number_exact", "clique_cover_number",
-        "is_perfect", "korner_entropy"}
+        "is_perfect", "korner_entropy", "theta_transitive"}
     monkeypatch.undo()
     assert json.dumps(stored, sort_keys=True) == json.dumps(full_suite(FAST_CFG), sort_keys=True)
