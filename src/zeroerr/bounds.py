@@ -10,6 +10,7 @@ flagged estimates in `typicality` instead.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -18,6 +19,8 @@ from .graphs import (
     ProbabilisticGraph,
     Undecided,
     ZeroErrError,
+    and_power,
+    and_power_graph,
     and_product_graph,
 )
 from .combin import (
@@ -122,21 +125,15 @@ def _certified_perfect(g: Graph) -> bool:
         return False
 
 
-def _powers(g: Graph, max_n: int):
-    """Yield (n, G^n) for n = 1..max_n, each power the previous one times G;
-    a power above the budget's vertex limit raises BudgetExceeded."""
-    power = g
-    for n in range(1, max_n + 1):
-        if n > 1:
-            power = and_product_graph(power, g)
-        yield n, power
-
-
 def _c0_upper(g: Graph, powers, factors) -> list:
-    """Upper candidates on C0(G): clique covers of the powers, the product of
-    factor covers, theta on transitive graphs, A+I rank over GF(2), GF(3)."""
+    """Upper candidates on C0(G): clique covers of the powers (G^1, G^2, ...),
+    the product of factor covers, the theta bound on regular graphs, A+I rank
+    over GF(2), GF(3).  Factors whose AND product, in the product's vertex
+    numbering, is not g itself raise ValueError."""
+    if factors and functools.reduce(and_product_graph, factors).rows != g.rows:
+        raise ValueError("factors do not multiply to the graph in the product numbering")
     cands = []
-    for n, power in powers:
+    for n, power in enumerate(powers, 1):
         cover = clique_cover_number(power)
         cands.append((math.log2(cover.count) / n,
                       Certificate("clique_cover_power",
@@ -173,8 +170,8 @@ def _interval(lo_cands, hi_cands) -> BoundInterval:
 def c0_bounds(g: Graph, max_n: int = 1, factors=None) -> BoundInterval:
     """Certified interval on the zero-error capacity C0(G) in bits.
 
-    `factors`: optional AND-factorization of g; factor clique covers multiply
-    to a sound one-shot cover of the product.
+    `factors`: optional AND-factorization of g, checked against g; factor
+    clique covers multiply to a sound one-shot cover of the product.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -185,9 +182,9 @@ def c0_bounds(g: Graph, max_n: int = 1, factors=None) -> BoundInterval:
             cert = Certificate("perfect_alpha", {"alpha": a.size})
             return BoundInterval(v, v, cert, cert)
 
-    powers = list(_powers(g, max_n))
+    powers = [and_power_graph(g, n) for n in range(1, max_n + 1)]
     lo_cands = [(0.0, Certificate("trivial_zero"))]
-    for n, power in powers:
+    for n, power in enumerate(powers, 1):
         a = alpha_exact(power)
         lo_cands.append((math.log2(a.size) / n,
                          Certificate("alpha_power",
@@ -207,8 +204,8 @@ def h0_bounds(g: Graph, max_n: int = 1) -> BoundInterval:
     lo_cands = [(math.log2(w.size),
                  Certificate("omega_one_shot", {"omega": w.size, "exact": w.exact}))]
     hi_cands = []
-    for n, power in _powers(g, max_n):
-        chi = chromatic_number_exact(power)
+    for n in range(1, max_n + 1):
+        chi = chromatic_number_exact(and_power_graph(g, n))
         hi_cands.append((math.log2(chi.count) / n,
                          Certificate("chi_power",
                                      {"n": n, "chi": chi.count, "exact": chi.exact})))
@@ -240,22 +237,20 @@ def hbar_bounds(pg: ProbabilisticGraph, max_n: int = 1, korner_tol: float = 1e-1
                            {"value": sol.value, "converged": sol.converged})
         return BoundInterval(sol.value, sol.value, cert, cert)
 
-    powers = list(_powers(g, max_n))
+    powers = [and_power(pg, n) for n in range(1, max_n + 1)]
     hi_cands = []
-    dist = pg.dist
-    for n, power in powers:
-        if n > 1:
-            dist = dist.product(pg.dist)
-        hchi = min_entropy_coloring(ProbabilisticGraph(power, dist))
+    for n, power in enumerate(powers, 1):
+        hchi = min_entropy_coloring(power)
         method = "hchi_power_exact" if hchi.exact else "hchi_power_heuristic"
         hi_cands.append((hchi.value / n,
                          Certificate(method, {"n": n, "value": hchi.value})))
-        chi = chromatic_number_exact(power)
+        chi = chromatic_number_exact(power.graph)
         hi_cands.append((math.log2(chi.count) / n,
                          Certificate("chi_power",
                                      {"n": n, "chi": chi.count, "exact": chi.exact})))
 
-    c0_hi, c0_hi_cert = min(_c0_upper(g, powers, factors), key=lambda c: c[0])
+    c0_hi, c0_hi_cert = min(_c0_upper(g, [q.graph for q in powers], factors),
+                            key=lambda c: c[0])
     h = pg.dist.entropy()
     lo_cands = [
         (0.0, Certificate("trivial_zero")),

@@ -47,6 +47,7 @@ from .graphs import (
     uniform_pgraph,
 )
 from .combin import (
+    MIS_LIMIT,
     alpha_exact,
     chromatic_number_exact,
     maximal_independent_sets,
@@ -379,7 +380,7 @@ def _cmd_verify(args) -> int:
     if args.haemers_matrix:
         matrix = matrix_from_json_dict(load_json(args.haemers_matrix))
     cfg = VerifyConfig(seed=args.seed, trials=args.trials, haemers_matrix=matrix,
-                       tags=tuple(args.tag or ()), threads=args.threads)
+                       tags=tuple(args.tag or ()))
     report = full_suite(cfg)
     _disarm()
     if args.csv:
@@ -416,7 +417,7 @@ def _add_common(sp):
     sp.add_argument("--node-budget", type=int, default=5_000_000)
     sp.add_argument("--tol-bits", type=float, default=1e-9)
     sp.add_argument("--seed", type=int, default=2024)
-    sp.add_argument("--threads", type=int)  # default: $ZEROERR_THREADS or 1
+    sp.add_argument("--threads", type=int, default=1)  # accepted; runs stay sequential
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--out", help="write the JSON payload to this file")
 
@@ -449,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--graph", required=True)
     s.add_argument("--dist")
     s.add_argument("--mode", choices=("exact", "heuristic"), default="exact")
-    s.add_argument("--mis-limit", type=int, default=1_000_000)
+    s.add_argument("--mis-limit", type=int, default=MIS_LIMIT)
     _add_common(s)
     s.set_defaults(func=_cmd_solve)
 
@@ -506,17 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def parse_args(argv=None) -> argparse.Namespace:
-    """Parse argv; an omitted --threads reads ZEROERR_THREADS now, so the
-    shared parser sees the environment of each call."""
-    args = build_parser().parse_args(argv)
-    if args.threads is None:
-        args.threads = int(os.environ.get("ZEROERR_THREADS", "1"))
-    return args
-
-
 def main(argv=None) -> int:
-    args = parse_args(argv)
+    args = build_parser().parse_args(argv)
     previous = signal.signal(signal.SIGALRM, _abort)
     try:
         try:

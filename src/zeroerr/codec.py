@@ -123,9 +123,9 @@ class SiCode:
     color_count: int
     color_codewords: list
     escape_length: int
-    _member_index: dict = field(repr=False, default_factory=dict)
-    _decode_table: dict = field(repr=False, default_factory=dict)
-    _huffman: _HuffmanDecoder = field(repr=False, default=None)
+    _member_index: dict = field(init=False, repr=False)
+    _decode_table: dict = field(init=False, repr=False)
+    _huffman: _HuffmanDecoder = field(init=False, repr=False)
 
     def __post_init__(self):
         self._member_index = {seq: i for i, seq in enumerate(self.typical_members)}
@@ -292,7 +292,7 @@ class PartialSiCode:
     n: int
     eps: float
     budget: Budget = field(default_factory=Budget.current, init=False, repr=False)
-    _cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
 
     def _code_for(self, a: int, length: int) -> SiCode:
         key = (a, length)

@@ -27,6 +27,7 @@ from .graphs import (
 )
 
 HCHI_EXACT_LIMIT = 18  # most vertices the exact H_chi subset DP takes
+MIS_LIMIT = 1_000_000  # most maximal independent sets one enumeration collects
 
 
 class _Stop(Exception):
@@ -515,13 +516,13 @@ def _maximal_sets(rows, within: int, w, delta: float, best: float, limit: int) -
     return out
 
 
-def mis_masks(g: Graph, limit: int = 1_000_000) -> list:
+def mis_masks(g: Graph, limit: int = MIS_LIMIT) -> list:
     """All inclusion-maximal independent sets as vertex bitsets, sorted
     numerically for determinism; more than `limit` raise BudgetExceeded."""
     return sorted(_maximal_sets(g.rows, (1 << g.n) - 1, [0.0] * g.n, math.inf, -1.0, limit))
 
 
-def maximal_independent_sets(g: Graph, limit: int = 1_000_000):
+def maximal_independent_sets(g: Graph, limit: int = MIS_LIMIT):
     """All inclusion-maximal independent sets as witnesses, ascending by
     bitset."""
     return [IndependentSetWitness(m, popcount(m)) for m in mis_masks(g, limit)]
@@ -557,8 +558,7 @@ def _entropy_of_classes(masses) -> float:
     return sum(_phi(p) for p in masses)
 
 
-def min_entropy_coloring(pg: ProbabilisticGraph, mode: str = "exact",
-                         limit: int = 1_000_000) -> HChiResult:
+def min_entropy_coloring(pg: ProbabilisticGraph, mode: str = "exact") -> HChiResult:
     """Chromatic entropy: min over proper colorings of H(color(X)).
 
     Exact mode is a subset DP, E[S] = min over independent I containing the
@@ -576,12 +576,12 @@ def min_entropy_coloring(pg: ProbabilisticGraph, mode: str = "exact",
     the peel keeps the family of every maximal independent set of mass at
     least a level, filled by a pruned Bron-Kerbosch, carried to the next
     remaining graph by restriction and refilled only when the level must
-    drop.  `limit` bounds the sets one fill collects, not all of them."""
+    drop.  MIS_LIMIT bounds the sets one fill collects, not all of them."""
     if mode not in ("exact", "heuristic"):
         raise ValueError(f"unknown mode '{mode}'")
     if mode == "exact" and pg.n <= HCHI_EXACT_LIMIT:
         return _min_entropy_exact(pg)
-    return _min_entropy_heuristic(pg, limit)
+    return _min_entropy_heuristic(pg)
 
 
 def _min_entropy_exact(pg: ProbabilisticGraph) -> HChiResult:
@@ -694,13 +694,13 @@ def _peel(rows, w, within: int, family: dict, theta: float, limit: int):
     return chosen, family, theta
 
 
-def _min_entropy_heuristic(pg: ProbabilisticGraph, limit: int) -> HChiResult:
+def _min_entropy_heuristic(pg: ProbabilisticGraph) -> HChiResult:
     """Greedy peel of `min_entropy_coloring`."""
     g, n = pg.graph, pg.n
     w = [float(x) for x in pg.dist.weights]
     within, family, theta, classes = (1 << n) - 1, {}, math.inf, []
     while within:
-        chosen, family, theta = _peel(g.rows, w, within, family, theta, limit)
+        chosen, family, theta = _peel(g.rows, w, within, family, theta, MIS_LIMIT)
         classes.append(chosen)
         within &= ~chosen
     coloring = _class_coloring(g, classes, "greedy entropy coloring")

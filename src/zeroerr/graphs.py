@@ -377,12 +377,13 @@ def and_product(pg1: ProbabilisticGraph, pg2: ProbabilisticGraph) -> Probabilist
 
 
 def and_power_graph(g: Graph, n: int) -> Graph:
-    """G^n, each power the previous one times G (vertex = base-|V| digits)."""
+    """G^n, each power the previous one times G (vertex = base-|V| digits).
+    G^1 is g itself; only a product is held to the vertex budget."""
     if n < 1:
         raise ValueError("power must be >= 1")
     limit = Budget.current().vertices
-    if g.n ** n > limit:
-        raise BudgetExceeded(f"product too large: {g.n}^{n} > {limit} vertices")
+    if n > 1 and g.n ** n > limit:
+        raise BudgetExceeded(f"product too large: {g.n ** n} > {limit} vertices")
     out = g
     for _ in range(n - 1):
         out = and_product_graph(out, g)
@@ -456,20 +457,17 @@ def induced_subgraph_graph(g: Graph, keep) -> Graph:
     return Graph(len(keep), tuple(rows), labels)
 
 
-def induced_subgraph(pg: ProbabilisticGraph, keep, renormalize: bool = False) -> ProbabilisticGraph:
+def induced_subgraph(pg: ProbabilisticGraph, keep) -> ProbabilisticGraph:
+    """G induced on `keep`, with P conditioned on it (renormalized)."""
     keep = sorted(set(keep))
     if not keep:
         raise ValueError("keep set must be nonempty")
     sub = induced_subgraph_graph(pg.graph, keep)
     w = [pg.dist[v] for v in keep]
     total = sum(w)
-    if renormalize:
-        if total <= 0:
-            raise ValueError("cannot renormalize: kept set has zero probability")
-        w = [x / total for x in w]
-    elif abs(float(total) - 1.0) > WEIGHT_TOL:
-        raise ValueError("kept set drops probability mass; pass renormalize=True")
-    return ProbabilisticGraph(sub, Distribution(tuple(w)))
+    if total <= 0:
+        raise ValueError("cannot renormalize: kept set has zero probability")
+    return ProbabilisticGraph(sub, Distribution(tuple(x / total for x in w)))
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .symmetry import is_perfect
 
 LN2 = math.log(2.0)
 CAPACITY_KORNER_TOL = 1e-10  # Koerner tolerance of each capacity evaluation
+KORNER_MAX_ITER = 100_000  # most fixed-point steps of one Koerner solve
 KORNER_HISTORY_FLOATS = 4096  # iterate rows one Koerner look-ahead block keeps
 THETA_VERTEX_LIMIT = 32  # largest graph the Jacobi eigenvalue solve takes
 
@@ -162,8 +163,7 @@ def _korner_gap(member: np.ndarray, p: np.ndarray, cov: np.ndarray) -> float:
 
 
 @solved_once
-def korner_entropy(pg: ProbabilisticGraph, tol: float = 1e-9,
-                   max_iter: int = 100_000) -> KornerSolution:
+def korner_entropy(pg: ProbabilisticGraph, tol: float = 1e-9) -> KornerSolution:
     """Koerner graph entropy min I(W;X) s.t. X in W, W independent.
 
     The W alphabet is restricted to maximal independent sets: enlarging any
@@ -182,14 +182,13 @@ def korner_entropy(pg: ProbabilisticGraph, tol: float = 1e-9,
     member = _membership(sets, pg.n)
     p = np.array([float(x) for x in pg.dist.weights])
     r, cov, value, iterations, converged = _korner_iterate(
-        member, p, np.full(len(sets), 1.0 / len(sets)), tol, max_iter)
+        member, p, np.full(len(sets), 1.0 / len(sets)), tol, KORNER_MAX_ITER)
     return KornerSolution(max(value, 0.0), tuple(sets), r, cov, iterations, converged)
 
 
 @dataclass(frozen=True)
 class CapacityValue:
     value: float
-    korner: KornerSolution
 
 
 def _require_perfect(g: Graph) -> None:
@@ -206,8 +205,7 @@ def relative_capacity_perfect(pg: ProbabilisticGraph, tol: float = 1e-9) -> Capa
     perfect.
     """
     _require_perfect(pg.graph)
-    sol = korner_entropy(pg, tol)
-    return CapacityValue(pg.dist.entropy() - sol.value, sol)
+    return CapacityValue(pg.dist.entropy() - korner_entropy(pg, tol).value)
 
 
 # ---------------------------------------------------------------------------
@@ -257,9 +255,9 @@ def perfect_capacity_evaluator(g: Graph):
         sol = None
         if r is not None:
             sol = _korner_iterate(member, p, np.maximum(r, 1e-100),
-                                  CAPACITY_KORNER_TOL, 100_000)
+                                  CAPACITY_KORNER_TOL, KORNER_MAX_ITER)
         if sol is None or _korner_gap(member, p, sol[1]) > gap_limit:
-            sol = _korner_iterate(member, p, uniform, CAPACITY_KORNER_TOL, 100_000)
+            sol = _korner_iterate(member, p, uniform, CAPACITY_KORNER_TOL, KORNER_MAX_ITER)
         r, cov, kappa = sol[:3]
         value = -sum(x * math.log2(x) for x in w if x > 0) - max(kappa, 0.0)  # H(P) - H_kappa
         log_p = np.full(g.n, -60.0)

@@ -13,6 +13,7 @@ from collections import Counter
 from fractions import Fraction
 
 from .graphs import (
+    WEIGHT_TOL,
     Budget,
     Graph,
     ProbabilisticGraph,
@@ -27,7 +28,7 @@ ISO_VERTEX_LIMIT = 64
 PERFECT_VERTEX_LIMIT = 14
 
 
-def _weight_classes(weights1, weights2, tol=1e-9):
+def _weight_classes(weights1, weights2):
     """Map both weight vectors to shared class ids, or None if the multisets
     cannot match.  Exact when both sides are rational, tolerant otherwise."""
     exact = all(isinstance(w, (Fraction, int)) for w in list(weights1) + list(weights2))
@@ -40,7 +41,7 @@ def _weight_classes(weights1, weights2, tol=1e-9):
         vals = sorted({float(w) for w in weights1} | {float(w) for w in weights2})
         reps = []
         for v in vals:
-            if not reps or v - reps[-1] > tol:
+            if not reps or v - reps[-1] > WEIGHT_TOL:
                 reps.append(v)
 
         def cls(w):

@@ -181,7 +181,7 @@ def typical_induced_subgraph(pg: ProbabilisticGraph, n: int, eps: float):
         raise ValueError(f"typical set is empty at n={n}, eps={eps}")
     power = and_power(pg, n)
     keep = [sequence_index(seq, pg.n) for seq in members]
-    return induced_subgraph(power, keep, renormalize=True), members
+    return induced_subgraph(power, keep), members
 
 
 @dataclass(frozen=True)

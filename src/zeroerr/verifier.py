@@ -72,8 +72,6 @@ class VerifyConfig:
     trials: int = 2000
     haemers_matrix: object = None   # optional user FiniteFieldMatrix for S-bar
     tags: tuple = ()
-    threads: int = 1                # accepted knob; execution stays sequential
-                                    # so reports are identical at any setting
 
 
 @dataclass
@@ -645,7 +643,7 @@ def _sc_induced_sandwich(cfg):
         pg = ProbabilisticGraph(g, p)
         keep = [v for v in range(n) if rng.random() < 0.7] or [0]
         mass = sum(float(p[v]) for v in keep)
-        sub = induced_subgraph(pg, keep, renormalize=True)
+        sub = induced_subgraph(pg, keep)
         h_full = min_entropy_coloring(pg).value
         h_sub = min_entropy_coloring(sub).value
         lower = h_full - 1.0 - (1.0 - mass) * math.log2(n)

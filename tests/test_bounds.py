@@ -70,6 +70,26 @@ def test_c0_c6c8_perfect_factor_linearization():
     assert iv.hi == pytest.approx(math.log2(12), abs=1e-9)
 
 
+def test_factors_that_do_not_multiply_to_the_graph_raise():
+    # C5 is no AND product of two isolated vertices: trusting the factors
+    # printed C0 <= 1 and Hbar >= 1.32, both past the true 1.161
+    with pytest.raises(ValueError, match="factors do not multiply"):
+        c0_bounds(cycle(5), factors=[empty(2)])
+    with pytest.raises(ValueError, match="factors do not multiply"):
+        hbar_bounds(uniform_pgraph(cycle(5)), factors=[empty(2)])
+    # the right factors in the other order number the vertices differently
+    with pytest.raises(ValueError, match="factors do not multiply"):
+        c0_bounds(and_product_graph(cycle(6), cycle(5)), factors=[cycle(5), cycle(6)])
+
+
+def test_true_factors_keep_the_intervals():
+    for a, b in ((cycle(6), cycle(8)), (cycle(6), cycle(5))):
+        g = and_product_graph(a, b)
+        assert c0_bounds(g, factors=[a, b]) == c0_bounds(g)
+        pg = and_product(uniform_pgraph(a), uniform_pgraph(b))
+        assert hbar_bounds(pg, factors=[a, b]) == hbar_bounds(pg)
+
+
 def test_c0_schlafli():
     iv = c0_bounds(catalog_get("schlafli"))
     assert iv.midpoint == pytest.approx(math.log2(3), abs=1e-6)

@@ -171,13 +171,19 @@ def test_bounds_power_above_vertex_budget_exits_2(tmp_path, capsys):
     g = tmp_path / "c5.json"
     run(capsys, "graph", "catalog", "--name", "cycle", "--n", "5", "--out", str(g))
     for quantity in ("c0", "h0", "hbar", "c"):
-        code, stdout, err = run(capsys, "bounds", quantity, "--graph", str(g),
-                                "--max-n", "2", "--vertex-budget", "0")
-        assert (code, stdout) == (2, "")
-        assert err.startswith("undecided: product too large: 25 > 0 vertices")
+        for budget in ("0", "24"):
+            code, stdout, err = run(capsys, "bounds", quantity, "--graph", str(g),
+                                    "--max-n", "2", "--vertex-budget", budget)
+            assert (code, stdout) == (2, "")
+            assert err.startswith(f"undecided: product too large: 25 > {budget} vertices")
     code, stdout, _ = run(capsys, "bounds", "c0", "--graph", str(g), "--max-n", "2",
                           "--vertex-budget", "25")
     assert code == 0 and json.loads(stdout)["lo_cert"]["details"]["n"] == 2
+    # G^1 is the graph itself, so a budget below |V| leaves n = 1 alone
+    base = run(capsys, "bounds", "c0", "--graph", str(g), "--max-n", "1")
+    assert base[0] == 0
+    assert run(capsys, "bounds", "c0", "--graph", str(g), "--max-n", "1",
+               "--vertex-budget", "3") == base
 
 
 def test_codec_sum_beyond_two_to_the_64_messages(tmp_path, capsys):
@@ -362,21 +368,17 @@ def test_output_determinism(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
-def _env(env_threads=None):
-    """Environment of a new interpreter that imports this package, with
-    ZEROERR_THREADS set only if given."""
+def _env():
+    """Environment of a new interpreter that imports this package."""
     env = dict(os.environ)
     src = str(Path(zeroerr.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("ZEROERR_THREADS", None)
-    if env_threads is not None:
-        env["ZEROERR_THREADS"] = env_threads
     return env
 
 
-def _fresh(python_args, env_threads=None):
+def _fresh(python_args):
     """(exit code, stdout) of `python <python_args>` in a new interpreter."""
-    proc = subprocess.run([sys.executable, *python_args], env=_env(env_threads),
+    proc = subprocess.run([sys.executable, *python_args], env=_env(),
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout
 
@@ -391,7 +393,7 @@ def test_closed_stdout_exits_zero_quietly():
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
-def test_shared_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch):
+def test_shared_parser_matches_fresh_processes(tmp_path, capsys):
     g = tmp_path / "c5.json"
     run(capsys, "graph", "catalog", "--name", "cycle", "--n", "5", "--out", str(g))
     commands = [["solve", "chi", "--graph", str(g)],
@@ -400,16 +402,4 @@ def test_shared_parser_matches_fresh_processes(tmp_path, capsys, monkeypatch):
     for argv in commands:
         code, stdout, _ = run(capsys, *argv)
         assert (code, stdout) == _fresh(["-m", "zeroerr.cli", *argv])
-    # an omitted --threads reads ZEROERR_THREADS at each call, as a new
-    # process would, and an explicit one wins
-    probe = "from zeroerr.cli import parse_args; print(parse_args({!r}).threads)"
-    solve = ["solve", "chi", "--graph", str(g)]
-    for value in ("3", "5", None):
-        if value is None:
-            monkeypatch.delenv("ZEROERR_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("ZEROERR_THREADS", value)
-        for argv in (solve, solve + ["--threads", "2"]):
-            want = _fresh(["-c", probe.format(argv)], value)
-            assert (0, f"{cli.parse_args(argv).threads}\n") == want
     assert cli.build_parser() is cli.build_parser()

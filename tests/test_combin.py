@@ -597,12 +597,14 @@ def test_hchi_heuristic_matches_reference_peel_property(n, data, kind):
     assert (got.value, got.coloring, got.exact) == (want.value, want.coloring, want.exact)
 
 
-def test_hchi_heuristic_mis_limit_still_raises():
+def test_hchi_heuristic_mis_limit_still_raises(monkeypatch):
     # four disjoint edges: 2**4 = 16 maximal independent sets
     pg = uniform_pgraph(graph_from_edges(8, [(0, 1), (2, 3), (4, 5), (6, 7)]))
+    monkeypatch.setattr(combin, "MIS_LIMIT", 10)
     with pytest.raises(BudgetExceeded, match="more than 10 maximal independent sets"):
-        min_entropy_coloring(pg, "heuristic", limit=10)
-    assert min_entropy_coloring(pg, "heuristic", limit=16).value == pytest.approx(1.0)
+        min_entropy_coloring(pg, "heuristic")
+    monkeypatch.setattr(combin, "MIS_LIMIT", 16)
+    assert min_entropy_coloring(pg, "heuristic").value == pytest.approx(1.0)
 
 
 def test_hchi_downgrades_over_budget():

@@ -135,7 +135,7 @@ def test_budget_scope_nests_and_restores():
         assert and_power_graph(cycle(5), 2).n == 25
         with inner:
             assert Budget.current() is inner
-            with pytest.raises(BudgetExceeded, match=r"5\^2 > 4"):
+            with pytest.raises(BudgetExceeded, match="25 > 4"):
                 and_power_graph(cycle(5), 2)
         assert Budget.current() is outer
         with pytest.raises(ZeroDivisionError):
@@ -256,16 +256,13 @@ def test_induced_subgraph():
     k2 = ProbabilisticGraph(complete(2), Distribution((Fraction(1, 3), Fraction(2, 3))))
     n2 = uniform_pgraph(empty(2))
     union, _ = disjoint_union([k2, n2], Distribution((Fraction(1, 2), Fraction(1, 2))))
-    sub = induced_subgraph(union, [0, 1], renormalize=True)
+    sub = induced_subgraph(union, [0, 1])
     assert sub.dist.weights == (Fraction(1, 3), Fraction(2, 3))
     with pytest.raises(ValueError, match="renormalize"):
         zero = ProbabilisticGraph(empty(2), Distribution((Fraction(1), Fraction(0))))
-        induced_subgraph(zero, [1], renormalize=True)
-    # dropping mass without renormalizing is rejected up front
-    with pytest.raises(ValueError, match="drops probability mass"):
-        induced_subgraph(union, [0, 1], renormalize=False)
-    # keeping the full support without renormalizing is fine
-    kept = induced_subgraph(zero, [0], renormalize=False)
+        induced_subgraph(zero, [1])
+    # keeping the full support leaves the weights as they are
+    kept = induced_subgraph(zero, [0])
     assert kept.dist.weights == (Fraction(1),)
 
 

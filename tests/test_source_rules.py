@@ -16,6 +16,8 @@
   persists from one command to the next, and repeated in-process runs
   cost what separate processes do.  The one exception caches the CLI's
   argument parser, which holds no result.
+- No read or write of the environment (`os.environ`, `os.getenv`,
+  `os.putenv`): a payload depends only on argv, input files and the seed.
 """
 
 import ast
@@ -27,6 +29,7 @@ BUDGET_PARAMS = {"budget", "vertex_budget"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 CACHES = {"cache", "lru_cache", "cached_property"}
 ALLOWED_CACHES = {("cli.py", "build_parser")}
+ENVIRONMENT = {"environ", "getenv", "putenv"}
 
 
 def _modules():
@@ -106,3 +109,9 @@ def test_no_process_wide_cache():
         found += [f"{name}:{sub.lineno} {ident}" for sub, ident in _named(tree)
                   if ident in CACHES and id(sub) not in allowed]
     assert not found, f"caches outside the Budget scope's store: {found}"
+
+
+def test_package_does_not_touch_the_environment():
+    found = [f"{name}:{sub.lineno} {ident}" for name, tree in _modules()
+             for sub, ident in _named(tree) if ident in ENVIRONMENT]
+    assert not found, f"environment reads: {found}"

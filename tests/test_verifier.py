@@ -75,7 +75,7 @@ def test_report_csv_format():
 
 
 def test_suite_deterministic_across_thread_knob():
-    # the threads knob must never influence the report bytes
+    # two runs of one config give the same report bytes
     rep1 = full_suite(VerifyConfig(trials=150, tags=("codec",)))
     rep2 = full_suite(VerifyConfig(trials=150, tags=("codec",)))
     assert json.dumps(rep1, sort_keys=True) == json.dumps(rep2, sort_keys=True)
