@@ -39,7 +39,6 @@ from .combin import (
 )
 from .symmetry import (
     find_odd_hole,
-    is_isomorphic,
     is_perfect,
     srg_parameters,
 )

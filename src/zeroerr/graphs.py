@@ -444,6 +444,7 @@ def connected_components(g: Graph) -> list:
 
 
 def induced_subgraph_graph(g: Graph, keep) -> Graph:
+    """G induced on `keep`; vertex k of the result is the k-th smallest of `keep`."""
     keep = sorted(keep)
     pos = {v: k for k, v in enumerate(keep)}
     rows = []

@@ -43,7 +43,7 @@ from .numopt import (
     theta_transitive,
 )
 from .bounds import c0_bounds, c_rel_bounds, h0_bounds, hbar_bounds
-from .symmetry import graph_isomorphic, is_isomorphic, is_perfect, srg_parameters
+from .symmetry import is_perfect, srg_parameters
 from .typicality import eta_bounds, type_split, typical_set
 from .codec import (
     Codebook,
@@ -433,9 +433,10 @@ def _sc_c6c8(cfg):
     # the seven highlighted product vertices induce a 7-hole
     seven = [(2, 2), (3, 2), (4, 3), (3, 4), (2, 5), (1, 4), (1, 3)]
     idx = [i6 * 8 + i8 for i6, i8 in seven]
-    sub = induced_subgraph_graph(prod, idx)
     checks.append(_true("seven product vertices induce C7",
-                        graph_isomorphic(sub, cycle(7)) is not None))
+                        all(prod.has_edge(idx[i], idx[j]) == ((j - i) % 7 in (1, 6))
+                            for i in range(7) for j in range(i + 1, 7))))
+    sub = induced_subgraph_graph(prod, idx)
     ok, hole, in_comp = is_perfect(sub)
     checks.append(Check("odd-hole witness found", (not ok) and not in_comp
                         and hole is not None and len(hole) == 7,
@@ -571,16 +572,15 @@ def _sc_distributivity(cfg):
                         src = (la.offsets[a] + x) * nb_total + (lb.offsets[b] + y)
                         dst = piece_off + x * gb.n + y
                         mapping[src] = dst
-                        if abs(float(lhs.dist[src]) - float(rhs.dist[dst])) > 1e-12:
+                        if lhs.dist[src] != rhs.dist[dst]:
                             ok = False
+        if sorted(mapping) != list(range(lhs.n)):
+            ok = False
         for i in range(lhs.n):
             for j in range(i + 1, lhs.n):
                 if lhs.graph.has_edge(i, j) != rhs.graph.has_edge(mapping[i], mapping[j]):
                     ok = False
         checks.append(_true(f"distributivity bijection #{k}", ok))
-        if lhs.n <= 12:
-            checks.append(_true(f"search confirms isomorphism #{k}",
-                                is_isomorphic(lhs, rhs) is not None))
     return checks
 
 

@@ -37,7 +37,7 @@ from zeroerr.numopt import (
     theta_transitive,
 )
 from zeroerr.bounds import c0_bounds, c_rel_bounds, h0_bounds, hbar_bounds
-from zeroerr.symmetry import graph_isomorphic, is_isomorphic, is_perfect, srg_parameters
+from zeroerr.symmetry import is_perfect, srg_parameters
 from zeroerr.typicality import type_split, typical_set
 from zeroerr.codec import (
     build_channel_code,
@@ -111,7 +111,10 @@ def test_criterion_03_induced_seven_hole():
     # exact adjacency check: 2-regular, 7 edges, single 7-cycle
     assert sub.edge_count() == 7
     assert all(sub.degree(v) == 2 for v in range(7))
-    assert graph_isomorphic(sub, cycle(7)) is not None
+    # listed vertices are adjacent exactly when cyclically consecutive; sub
+    # orders its vertices by index, so the order is read off prod
+    assert all(prod.has_edge(idx[i], idx[j]) == ((j - i) % 7 in (1, 6))
+               for i in range(7) for j in range(i + 1, 7))
     perfect, hole, in_complement = is_perfect(sub)
     assert not perfect and not in_complement
     assert hole is not None and len(hole) == 7
@@ -282,7 +285,9 @@ def test_criterion_09_appendix_lemma_suite():
         for v in range(n):
             w2[perm[v]] = base.dist[v]
         copy = ProbabilisticGraph(g2, Distribution(tuple(w2)))
-        assert is_isomorphic(base, copy) is not None
+        assert all(g.has_edge(u, v) == g2.has_edge(perm[u], perm[v])
+                   for u in range(n) for v in range(u + 1, n))
+        assert all(base.dist[v] == copy.dist[perm[v]] for v in range(n))
         pa = Distribution((f(1, 4), f(3, 4)))
         union, _ = disjoint_union([base, copy], pa)
         assert union.n <= 8

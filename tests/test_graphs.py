@@ -37,7 +37,9 @@ from zeroerr.graphs import (
 )
 from zeroerr.combin import chromatic_number_exact
 from zeroerr.numopt import korner_entropy, matrix_from_json_dict
-from zeroerr.symmetry import graph_isomorphic, is_perfect
+from zeroerr.rng import SplitMix64
+from zeroerr.symmetry import is_perfect
+from zeroerr.verifier import random_graph
 
 
 def test_graph_invariants_enforced():
@@ -70,7 +72,7 @@ def test_entropy_bits():
 def test_characteristic_graph_typewriter_is_pentagon():
     support = frozenset((x, y) for x in range(5) for y in (x, (x + 1) % 5))
     g = characteristic_graph(ChannelSpec(5, 5, support))
-    assert graph_isomorphic(g, cycle(5)) is not None
+    assert g.rows == cycle(5).rows
 
 
 def test_characteristic_graph_identity_and_full():
@@ -103,7 +105,7 @@ def test_and_product_identity_element():
     g = uniform_pgraph(cycle(5))
     one = uniform_pgraph(empty(1))
     prod = and_product(g, one)
-    assert graph_isomorphic(prod.graph, g.graph) is not None
+    assert prod.graph.rows == g.graph.rows
 
 
 def test_pentagon_square_independent_set_by_rule():
@@ -116,7 +118,7 @@ def test_pentagon_square_independent_set_by_rule():
 
 
 def test_and_power_examples():
-    assert graph_isomorphic(and_power_graph(cycle(5), 1), cycle(5)) is not None
+    assert and_power_graph(cycle(5), 1).rows == cycle(5).rows
     k8 = and_power_graph(complete(2), 3)
     assert k8.n == 8 and k8.edge_count() == 28  # complete graphs absorb
     sq = and_power_graph(cycle(5), 2)
@@ -243,7 +245,10 @@ def test_disjoint_union_single_and_symmetric():
 def test_complement_involution_and_catalog():
     assert complement(complete(4)).edge_count() == 0
     c5 = cycle(5)
-    assert graph_isomorphic(complement(c5), c5) is not None  # self-complementary
+    # self-complementary: i -> 2i mod 5 maps C5 onto its complement
+    c5bar = complement(c5)
+    assert all(c5.has_edge(i, j) == c5bar.has_edge(2 * i % 5, 2 * j % 5)
+               for i in range(5) for j in range(i + 1, 5))
     g = graph_from_edges(6, [(0, 1), (2, 4), (3, 5), (1, 2)])
     assert complement(complement(g)).rows == g.rows
 
@@ -251,7 +256,7 @@ def test_complement_involution_and_catalog():
 def test_induced_subgraph():
     assert induced_subgraph_graph(complete(5), [1, 3]).edge_count() == 1
     p3 = induced_subgraph_graph(cycle(5), [0, 1, 2])
-    assert graph_isomorphic(p3, path(3)) is not None
+    assert p3.rows == path(3).rows
     # K2 u N2 induced on the K2 block, renormalized
     k2 = ProbabilisticGraph(complete(2), Distribution((Fraction(1, 3), Fraction(2, 3))))
     n2 = uniform_pgraph(empty(2))
@@ -355,16 +360,18 @@ def test_json_loaders_return_a_value_or_raise_value_error(which, edits):
 
 
 def test_product_commutative_associative_up_to_iso():
-    from zeroerr.rng import SplitMix64
-    from zeroerr.symmetry import is_isomorphic
-    from zeroerr.verifier import random_graph
-
     rng = SplitMix64(5)
     for _ in range(4):
         a = uniform_pgraph(random_graph(rng, 2 + rng.randrange(2), 0.5))
         b = uniform_pgraph(random_graph(rng, 2 + rng.randrange(2), 0.5))
         c = uniform_pgraph(random_graph(rng, 2, 0.5))
-        assert is_isomorphic(and_product(a, b), and_product(b, a)) is not None
+        ab, ba = and_product(a, b), and_product(b, a)
+        # vertex (x, y) of A x B is x*|B| + y, and (y, x) of B x A is y*|A| + x
+        swap = [(i % b.n) * a.n + i // b.n for i in range(ab.n)]
+        assert all(ab.graph.has_edge(i, j) == ba.graph.has_edge(swap[i], swap[j])
+                   for i in range(ab.n) for j in range(i + 1, ab.n))
+        assert all(ab.dist[i] == ba.dist[swap[i]] for i in range(ab.n))
         lhs = and_product(and_product(a, b), c)
         rhs = and_product(a, and_product(b, c))
-        assert is_isomorphic(lhs, rhs) is not None
+        assert lhs.graph.rows == rhs.graph.rows
+        assert lhs.dist.weights == rhs.dist.weights

@@ -18,6 +18,10 @@
   argument parser, which holds no result.
 - No read or write of the environment (`os.environ`, `os.getenv`,
   `os.putenv`): a payload depends only on argv, input files and the seed.
+- Every top-level name has a user: each module-level function, class and
+  assigned name is loaded, read as an attribute or imported somewhere in the
+  package (an `__init__` export counts; dunder names such as `__version__`
+  are read from outside).  Dead code is deleted, not kept for later.
 """
 
 import ast
@@ -115,3 +119,24 @@ def test_package_does_not_touch_the_environment():
     found = [f"{name}:{sub.lineno} {ident}" for name, tree in _modules()
              for sub, ident in _named(tree) if ident in ENVIRONMENT]
     assert not found, f"environment reads: {found}"
+
+
+def _defined(tree):
+    """(line, name) of every module-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        elif isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name):
+                    yield node.lineno, target.id
+
+
+def test_every_top_level_name_is_used():
+    modules = list(_modules())
+    used = {ident for _, tree in modules for sub, ident in _named(tree)
+            if not isinstance(sub, ast.Name) or isinstance(sub.ctx, ast.Load)}
+    found = [f"{name}:{line} {ident}" for name, tree in modules
+             for line, ident in _defined(tree)
+             if ident not in used and not ident.startswith("__")]
+    assert not found, f"top-level names nothing uses: {found}"
