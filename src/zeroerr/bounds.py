@@ -148,11 +148,9 @@ def _c0_upper(g: Graph, powers, factors) -> list:
         th = theta_transitive(g)
         cands.append((math.log2(th), Certificate("lovasz_theta_transitive", {"theta": th})))
     for p in (2, 3):
-        try:
-            cands.append((haemers_bound(g, adjacency_plus_identity(g, p)),
-                          Certificate("haemers_rank", {"field": p, "matrix": "A+I"})))
-        except ZeroErrError:
-            pass
+        # A + I fits: 1 on the diagonal, 0 on every non-edge
+        cands.append((haemers_bound(g, adjacency_plus_identity(g, p)),
+                      Certificate("haemers_rank", {"field": p, "matrix": "A+I"})))
     return cands
 
 

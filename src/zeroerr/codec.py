@@ -2,8 +2,8 @@
 their simulation: `si_simulate`, `partial_si_roundtrip`, `channel_roundtrip`
 and `sum_channel_roundtrip`, which the CLI and the verifier call.
 
-Bit strings are Python strings of '0'/'1'.  All randomness flows through
-seeded SplitMix64 generators, so every simulation is reproducible.
+Bit strings are Python strings of '0'/'1'.  Every draw is an exact draw of
+`rng.py` on a seeded SplitMix64, so every simulation is reproducible.
 
 The zero-error property of each construction is structural, not statistical:
 decoders return the unique compatible source word or raise AmbiguityError,
@@ -13,12 +13,10 @@ which valid codes never do on what their encoders send.  Malformed input
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from types import SimpleNamespace
 
 from .graphs import (
@@ -40,7 +38,7 @@ from .combin import (
     greedy_maximal_independent_set,
     is_independent,
 )
-from .rng import SplitMix64
+from .rng import SplitMix64, weighted_draw
 from .typicality import index_sequence, sequence_index, typical_induced_subgraph
 
 
@@ -208,18 +206,15 @@ def si_simulate(code: SiCode, channel: ChannelSpec, p: Distribution, trials: int
     """`trials` blocks through `si_roundtrip`: x^n i.i.d. from p, then each
     y_t uniform on the outputs of x_t; returns (error count, total bits).
 
-    Each symbol is one `randrange` over p's weights as coprime integers, so
-    the draw is exact and Distribution.uniform(k) draws randrange(k)."""
-    den = math.lcm(*(Fraction(w).denominator for w in p.weights))
-    ints = [int(Fraction(w) * den) for w in p.weights]
-    divisor = math.gcd(*ints)
-    cum = list(itertools.accumulate(w // divisor for w in ints))
+    Each symbol is one `weighted_draw` over p's weights, so the draw is exact
+    and Distribution.uniform(k) draws randrange(k)."""
+    draw = weighted_draw(p.weights)
     rows = [channel.outputs_of(x) for x in range(channel.x_count)]
     rng = SplitMix64(seed)
     errors = bits_total = 0
     for _ in range(trials):
-        x = tuple(bisect.bisect_right(cum, rng.randrange(cum[-1])) for _ in range(code.n))
-        y = tuple(rows[s][rng.randrange(len(rows[s]))] for s in x)
+        x = tuple(draw(rng) for _ in range(code.n))
+        y = tuple(rng.choice(rows[s]) for s in x)
         decoded, used = si_roundtrip(code, x, y)
         errors += decoded != x
         bits_total += used
@@ -253,6 +248,12 @@ class PartialSideInfoSpec:
 
     def component_support(self, a: int) -> frozenset:
         return frozenset((x, y) for x, y in self.channel.support if self.g_map[y] == a)
+
+    def component_graph(self, a: int) -> Graph:
+        """Characteristic graph of component a: inputs that share an output y
+        with g(y) = a are confusable."""
+        return characteristic_graph(
+            SimpleNamespace(x_count=self.channel.x_count, support=self.component_support(a)))
 
     def component_dist(self, a: int) -> Distribution:
         w = [0.0] * self.channel.x_count
@@ -297,12 +298,10 @@ class PartialSiCode:
     def _code_for(self, a: int, length: int) -> SiCode:
         key = (a, length)
         if key not in self._cache:
-            support = self.spec.component_support(a)
-            g = characteristic_graph(
-                SimpleNamespace(x_count=self.spec.channel.x_count, support=support))
             with self.budget:
                 self._cache[key] = _build_si_from_graph(
-                    g, support, self.spec.component_dist(a), length, self.eps)
+                    self.spec.component_graph(a), self.spec.component_support(a),
+                    self.spec.component_dist(a), length, self.eps)
         return self._cache[key]
 
     def encode(self, x_seq, a_seq) -> str:
@@ -341,22 +340,10 @@ def build_partial_si_code(spec: PartialSideInfoSpec, n: int, eps: float) -> Part
 
 
 def sample_joint(spec: PartialSideInfoSpec, n: int, rng: SplitMix64):
-    """Draw (x^n, y^n) i.i.d. from the joint weights."""
-    total = sum(w for _, _, w in spec.joint)
-    pairs = [(x, y) for x, y, _ in spec.joint]
-    cum = []
-    acc = 0.0
-    for _, _, w in spec.joint:
-        acc += w / total
-        cum.append(acc)
-    xs, ys = [], []
-    for _ in range(n):
-        u = rng.random()
-        k = next(i for i, c in enumerate(cum) if u < c or i == len(cum) - 1)
-        x, y = pairs[k]
-        xs.append(x)
-        ys.append(y)
-    return tuple(xs), tuple(ys)
+    """Draw (x^n, y^n) i.i.d. from the joint weights, by `weighted_draw`."""
+    draw = weighted_draw([w for _, _, w in spec.joint])
+    pairs = [spec.joint[draw(rng)] for _ in range(n)]
+    return tuple(x for x, _, _ in pairs), tuple(y for _, y, _ in pairs)
 
 
 def partial_si_roundtrip(code: PartialSiCode, trials: int, seed: int):
@@ -451,7 +438,7 @@ def channel_roundtrip(code: Codebook, channel: ChannelSpec, trials: int,
     words = code.codewords
     for _ in range(trials):
         i = rng.randrange(len(words))
-        y = tuple(rows[s][rng.randrange(len(rows[s]))] for s in words[i])
+        y = tuple(rng.choice(rows[s]) for s in words[i])
         try:
             errors += code.decode(channel, y) != i
         except AmbiguityError:
@@ -612,8 +599,7 @@ def sum_channel_roundtrip(code: SumChannelCode, trials: int, seed: int) -> int:
     for _ in range(trials):
         msg = rng.randrange(m)
         letters = code.encode(msg)
-        outputs = tuple((a, rows[a][s][rng.randrange(len(rows[a][s]))])
-                        for a, s in letters)
+        outputs = tuple((a, rng.choice(rows[a][s])) for a, s in letters)
         if code.decode_outputs(outputs) != msg:
             errors += 1
     return errors

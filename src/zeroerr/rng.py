@@ -1,4 +1,6 @@
-"""Seeded 64-bit splitmix generator used by all simulation code.
+"""Seeded 64-bit splitmix generator used by all simulation code, and the
+exact draws (`weighted_draw`, `SplitMix64.choice`) that every simulation
+makes: a draw depends on the seed and the exact weights, never on rounding.
 
 Test vectors (seed 1234567):
     next_u64() -> 6457827717110365317
@@ -9,6 +11,11 @@ Matches the reference splitmix64 stepping (golden-gamma increment).
 """
 
 from __future__ import annotations
+
+import bisect
+import itertools
+import math
+from fractions import Fraction
 
 MASK = (1 << 64) - 1
 
@@ -39,3 +46,20 @@ class SplitMix64:
                 x, span = (x << 64) | self.next_u64(), span << 64
             if x < span - span % n:
                 return x % n
+
+    def choice(self, seq):
+        """Uniform element of a nonempty sequence: seq[randrange(len(seq))]."""
+        return seq[self.randrange(len(seq))]
+
+
+def weighted_draw(weights):
+    """A function rng -> i that draws i with probability exactly
+    weights[i] / sum(weights): one `randrange` over the weights written as
+    coprime integers, so k equal weights draw randrange(k) and a zero weight
+    is never drawn."""
+    exact = [Fraction(w) for w in weights]
+    den = math.lcm(*(w.denominator for w in exact))
+    ints = [int(w * den) for w in exact]
+    divisor = math.gcd(*ints)
+    cum = list(itertools.accumulate(w // divisor for w in ints))
+    return lambda rng: bisect.bisect_right(cum, rng.randrange(cum[-1]))

@@ -22,7 +22,7 @@ from .graphs import (
 )
 from .combin import alpha_exact
 from .bounds import hbar_bounds, scale_interval
-from .rng import SplitMix64
+from .rng import SplitMix64, weighted_draw
 
 ENUM_LIMIT = 1 << 24  # most typical sequences `members` materializes
 TYPE_SPLIT_TOL = 1e-9  # largest mismatch `type_split` allows per symbol
@@ -231,9 +231,10 @@ def type_split(seq, beta, p1: Distribution, p2: Distribution,
     Requires T_seq = beta*p1 + (1-beta)*p2 (within TYPE_SPLIT_TOL).  When beta*n*p1(a)
     is integral for every symbol, a deterministic greedy assignment achieves
     the target types exactly (first occurrences go to the first part).
-    Otherwise each position is assigned to part one with probability
-    beta*p1(a)/T(a) using a seeded generator, and the achieved types are
-    reported with exact=False.
+    Otherwise each position is assigned to part one with the exact
+    probability beta*n*p1(a) / (n*T(a)), capped at 1, by one `weighted_draw`
+    on a seeded generator, and the achieved types are reported with
+    exact=False.
     """
     seq = tuple(seq)
     k = len(p1)
@@ -250,9 +251,8 @@ def type_split(seq, beta, p1: Distribution, p2: Distribution,
     quotas = [fb * n * _as_fraction(p1[a]) for a in range(k)]
     exact = all(q.denominator == 1 for q in quotas)
 
-    mask = []
     if exact:
-        taken = [0] * k
+        mask, taken = [], [0] * k
         for s in seq:
             if taken[s] < quotas[s]:
                 mask.append(0)
@@ -261,10 +261,9 @@ def type_split(seq, beta, p1: Distribution, p2: Distribution,
                 mask.append(1)
     else:
         rng = SplitMix64(seed)
-        for s in seq:
-            ts_a = t.counts[s] / n
-            prob = float(beta) * float(p1[s]) / ts_a if ts_a > 0 else 0.0
-            mask.append(0 if rng.random() < prob else 1)
+        probs = {a: min(quotas[a] / t.counts[a], 1) for a in set(seq)}
+        draws = {a: weighted_draw((q, 1 - q)) for a, q in probs.items()}
+        mask = [draws[s](rng) for s in seq]
 
     sub1 = tuple(s for s, b in zip(seq, mask) if b == 0)
     sub2 = tuple(s for s, b in zip(seq, mask) if b == 1)

@@ -215,17 +215,23 @@ def _pg(g: Graph, weights) -> ProbabilisticGraph:
     return ProbabilisticGraph(g, Distribution(tuple(weights)))
 
 
-def _sc_perfect_family(cfg):
-    # family of perfect graphs: union linearizes at every P_A and the AND
-    # product of two of them linearizes as well
+def _perfect_parts():
+    """Three perfect probabilistic graphs and their Koerner entropies."""
     f = Fraction
     parts = [
         _pg(complete(2), (f(1, 3), f(2, 3))),
         _pg(path(3), (f(1, 4), f(1, 2), f(1, 4))),
         _pg(empty(2), (f(3, 5), f(2, 5))),
     ]
+    return parts, [korner_entropy(pg, KORNER_TOL).value for pg in parts]
+
+
+def _sc_perfect_family(cfg):
+    # family of perfect graphs: union linearizes at every P_A and the AND
+    # product of two of them linearizes as well
+    f = Fraction
+    parts, kappas = _perfect_parts()
     pa = Distribution((f(1, 2), f(1, 4), f(1, 4)))
-    kappas = [korner_entropy(pg, KORNER_TOL).value for pg in parts]
     union, _ = disjoint_union(parts, pa)
     iv = hbar_bounds(union, max_n=1, korner_tol=KORNER_TOL)
     target_union = sum(float(pa[a]) * kappas[a] for a in range(3))
@@ -246,12 +252,7 @@ def _sc_perfect_family(cfg):
 def _sc_subfamily_closure(cfg):
     # once a family linearizes, every 2-element subfamily linearizes
     f = Fraction
-    parts = [
-        _pg(complete(2), (f(1, 3), f(2, 3))),
-        _pg(path(3), (f(1, 4), f(1, 2), f(1, 4))),
-        _pg(empty(2), (f(3, 5), f(2, 5))),
-    ]
-    kappas = [korner_entropy(pg, KORNER_TOL).value for pg in parts]
+    parts, kappas = _perfect_parts()
     checks = []
     for i in range(3):
         for j in range(i + 1, 3):
@@ -492,12 +493,8 @@ def _sc_schlafli(cfg):
     checks.append(Check("alpha(S)=3", a_s.size == 3, a_s.size, 3, 0))
     checks.append(Check("alpha(S-bar)=6", a_sb.size == 6, a_sb.size, 6, 0))
     # diagonal of S x S-bar is independent: a pair cannot be adjacent in both
-    diag = [(v, v) for v in range(27)]
-    indep = not any(
-        (s.has_edge(u, v) or u == v) and (sbar.has_edge(u, v) or u == v)
-        for (u, _), (v, _) in
-        [(diag[i], diag[j]) for i in range(27) for j in range(i + 1, 27)]
-    )
+    indep = not any(s.has_edge(u, v) and sbar.has_edge(u, v)
+                    for u in range(27) for v in range(u + 1, 27))
     checks.append(_true("diagonal independent in S x S-bar", indep))
     checks.append(Check("27 > alpha(S) alpha(S-bar)", 27 > a_s.size * a_sb.size,
                         27, a_s.size * a_sb.size, 0))
@@ -761,9 +758,8 @@ def _sc_codec_partial(cfg):
     checks = [Check("zero partial-SI decoding errors", errors == 0, errors, 0, 0)]
     # rate sanity against the weighted single-letter interval plus slack
     kappas = [korner_entropy(
-        ProbabilisticGraph(
-            graph_from_edges(2, [(0, 1)] if a == 0 else []),
-            spec.component_dist(a)), KORNER_TOL).value for a in (0, 1)]
+        ProbabilisticGraph(spec.component_graph(a), spec.component_dist(a)),
+        KORNER_TOL).value for a in (0, 1)]
     target = sum(spec.component_weight(a) * kappas[a] for a in (0, 1))
     slack = 2.0 / 3.0 + 1.0 / 6.0 + 1.0   # finite-n flag/huffman/escape slack
     checks.append(_leq("partial-SI rate within single-letter target + slack",
@@ -892,19 +888,16 @@ SCENARIOS = [
 
 
 def run_scenario(scenario: Scenario, cfg: VerifyConfig) -> dict:
+    header = {"id": scenario.id, "description": scenario.description,
+              "tags": list(scenario.tags)}
     try:
         checks = scenario.builder(cfg)
-        status = "pass" if all(c.ok for c in checks) else "fail"
     except (Undecided, BudgetExceeded) as exc:
-        return {"id": scenario.id, "description": scenario.description,
-                "tags": list(scenario.tags), "status": "undecided",
-                "reason": str(exc), "checks": []}
+        return {**header, "status": "undecided", "reason": str(exc), "checks": []}
     except Exception as exc:  # builder failure: recorded, suite continues
-        return {"id": scenario.id, "description": scenario.description,
-                "tags": list(scenario.tags), "status": "error",
+        return {**header, "status": "error",
                 "reason": f"{type(exc).__name__}: {exc}", "checks": []}
-    return {"id": scenario.id, "description": scenario.description,
-            "tags": list(scenario.tags), "status": status,
+    return {**header, "status": "pass" if all(c.ok for c in checks) else "fail",
             "checks": [c.to_json_dict() for c in checks]}
 
 

@@ -234,6 +234,18 @@ def _partial_spec_with_a_weightless_component():
                                ((0, 0, 0.5), (1, 1, 0.5)))
 
 
+def test_sample_joint_draws_exactly_from_the_joint():
+    # the weights 1/8 x4 and 1/4 x2 scale to the integers 1, 1, 2, 1, 1, 2 in
+    # joint order: one randrange(8) per pair, with no float cumulative table
+    spec = _partial_spec()
+    expanded = [(x, y) for x, y, w in spec.joint for _ in range(int(w * 8))]
+    rng, replay = SplitMix64(29), SplitMix64(29)
+    for _ in range(20):
+        want = [expanded[replay.randrange(8)] for _ in range(6)]
+        assert sample_joint(spec, 6, rng) == (tuple(x for x, _ in want),
+                                              tuple(y for _, y in want))
+
+
 def test_partial_si_roundtrips():
     spec = _partial_spec()
     code = build_partial_si_code(spec, 6, 0.5)

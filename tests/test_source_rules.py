@@ -22,6 +22,9 @@
   assigned name is loaded, read as an attribute or imported somewhere in the
   package (an `__init__` export counts; dunder names such as `__version__`
   are read from outside).  Dead code is deleted, not kept for later.
+- `codec.py` and `typicality.py` read no `.random` attribute: simulated
+  draws go through the exact draws of `rng.py`, so a simulated rate depends
+  only on the seed and the exact weights, never on float rounding.
 """
 
 import ast
@@ -34,6 +37,7 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 CACHES = {"cache", "lru_cache", "cached_property"}
 ALLOWED_CACHES = {("cli.py", "build_parser")}
 ENVIRONMENT = {"environ", "getenv", "putenv"}
+EXACT_DRAW_MODULES = {"codec.py", "typicality.py"}
 
 
 def _modules():
@@ -119,6 +123,13 @@ def test_package_does_not_touch_the_environment():
     found = [f"{name}:{sub.lineno} {ident}" for name, tree in _modules()
              for sub, ident in _named(tree) if ident in ENVIRONMENT]
     assert not found, f"environment reads: {found}"
+
+
+def test_simulations_draw_no_floats():
+    found = [f"{name}:{sub.lineno}" for name, tree in _modules() if name in EXACT_DRAW_MODULES
+             for sub, ident in _named(tree)
+             if isinstance(sub, ast.Attribute) and ident == "random"]
+    assert not found, f"float draws in simulation code: {found}"
 
 
 def _defined(tree):
