@@ -81,6 +81,7 @@ from .codec import (
     build_sum_channel_code,
     channel_roundtrip,
     partial_si_roundtrip,
+    sample_joint,
     shifted_codebook,
     si_roundtrip,
     si_simulate,

@@ -8,7 +8,11 @@ Bit strings are Python strings of '0'/'1'.  Every draw is an exact draw of
 The zero-error property of each construction is structural, not statistical:
 decoders return the unique compatible source word or raise AmbiguityError,
 which valid codes never do on what their encoders send.  Malformed input
-(bad bits, wrong lengths, out-of-range symbols) raises it too.
+(bad bits, wrong lengths, out-of-range symbols) raises it too.  A decoder
+does not scan its words: it looks each output y_t up in a per-position admit
+index, built once per word list, and ANDs the bitmasks of the words whose
+letter t admits y_t.  The answer is exact: the one set bit, or the
+candidate count in the AmbiguityError.
 """
 
 from __future__ import annotations
@@ -99,6 +103,36 @@ class _HuffmanDecoder:
 
 
 # ---------------------------------------------------------------------------
+# decoding by admit masks
+
+
+def _admit_index(words, support, n: int) -> list:
+    """Per position t < n, a dict from an output y to the bitmask of the
+    words whose letter t admits y, that is (word[t], y) in support."""
+    outputs = {}
+    for x, y in support:
+        outputs.setdefault(x, []).append(y)
+    index = [{} for _ in range(n)]
+    for i, word in enumerate(words):
+        bit = 1 << i
+        for table, x in zip(index, word):
+            for y in outputs.get(x, ()):
+                table[y] = table.get(y, 0) | bit
+    return index
+
+
+def _sole_admitted(index, word_count: int, y_seq, message: str) -> int:
+    """Position of the one word whose every letter admits y_seq; any other
+    candidate count raises AmbiguityError with `message` formatted on it."""
+    m = (1 << word_count) - 1
+    for table, y in zip(index, y_seq):
+        m &= table.get(y, 0)
+    if not m or m & (m - 1):
+        raise AmbiguityError(message.format(m.bit_count()))
+    return m.bit_length() - 1
+
+
+# ---------------------------------------------------------------------------
 # variable-length side-information code
 
 
@@ -122,14 +156,16 @@ class SiCode:
     color_codewords: list
     escape_length: int
     _member_index: dict = field(init=False, repr=False)
-    _decode_table: dict = field(init=False, repr=False)
+    _decode_table: dict = field(init=False, repr=False)  # color -> (members, admit index)
     _huffman: _HuffmanDecoder = field(init=False, repr=False)
 
     def __post_init__(self):
         self._member_index = {seq: i for i, seq in enumerate(self.typical_members)}
-        self._decode_table = {}
+        classes = {}
         for i, seq in enumerate(self.typical_members):
-            self._decode_table.setdefault(self.color_of[i], []).append(seq)
+            classes.setdefault(self.color_of[i], []).append(seq)
+        self._decode_table = {c: (words, _admit_index(words, self.support, self.n))
+                              for c, words in classes.items()}
         self._huffman = _HuffmanDecoder(self.color_codewords)
 
     def encode(self, x_seq) -> str:
@@ -159,14 +195,10 @@ class SiCode:
                 raise AmbiguityError("escape index outside the source alphabet")
             return index_sequence(raw, self.alphabet_size, self.n), pos
         color, pos = self._huffman.read(bits, pos)
-        candidates = [
-            x for x in self._decode_table.get(color, ())
-            if all((xt, yt) in self.support for xt, yt in zip(x, y_seq))
-        ]
-        if len(candidates) != 1:
-            raise AmbiguityError(
-                f"side-information decode found {len(candidates)} candidates")
-        return candidates[0], pos
+        words, index = self._decode_table.get(color, ((), ()))
+        i = _sole_admitted(index, len(words), y_seq,
+                           "side-information decode found {} candidates")
+        return words[i], pos
 
 
 def _build_si_from_graph(g: Graph, support: frozenset, p: Distribution,
@@ -339,22 +371,32 @@ def build_partial_si_code(spec: PartialSideInfoSpec, n: int, eps: float) -> Part
     return PartialSiCode(spec, n, eps)
 
 
+def _joint_sampler(spec: PartialSideInfoSpec):
+    """A function (n, rng) -> (x^n, y^n) drawing pairs i.i.d. from the joint
+    weights, by one `weighted_draw` table."""
+    draw = weighted_draw([w for _, _, w in spec.joint])
+
+    def sample(n, rng):
+        pairs = [spec.joint[draw(rng)] for _ in range(n)]
+        return tuple(x for x, _, _ in pairs), tuple(y for _, y, _ in pairs)
+    return sample
+
+
 def sample_joint(spec: PartialSideInfoSpec, n: int, rng: SplitMix64):
     """Draw (x^n, y^n) i.i.d. from the joint weights, by `weighted_draw`."""
-    draw = weighted_draw([w for _, _, w in spec.joint])
-    pairs = [spec.joint[draw(rng)] for _ in range(n)]
-    return tuple(x for x, _, _ in pairs), tuple(y for _, y, _ in pairs)
+    return _joint_sampler(spec)(n, rng)
 
 
 def partial_si_roundtrip(code: PartialSiCode, trials: int, seed: int):
-    """Blocks of length code.n drawn by `sample_joint`, encoded with
-    a^n = g(y^n) and decoded from y^n; returns (error count, total bits)."""
+    """Blocks of length code.n drawn as `sample_joint` draws them, encoded
+    with a^n = g(y^n) and decoded from y^n; returns (error count, total bits)."""
     rng = SplitMix64(seed)
     spec = code.spec
+    sample = _joint_sampler(spec)
     errors = 0
     bits_total = 0
     for _ in range(trials):
-        xs, ys = sample_joint(spec, code.n, rng)
+        xs, ys = sample(code.n, rng)
         bits = code.encode(xs, tuple(spec.g_map[y] for y in ys))
         if code.decode(ys, bits) != xs:
             errors += 1
@@ -371,6 +413,8 @@ class Codebook:
     n: int
     codewords: tuple            # tuples of input symbols
     independence_checked: bool
+    # channel support -> admit index, built by the first decode against it
+    _admit: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def rate(self) -> float:
         return math.log2(len(self.codewords)) / self.n
@@ -384,11 +428,11 @@ class Codebook:
         y = tuple(y)
         if len(y) != self.n:
             raise AmbiguityError(f"{len(y)} outputs for a block of {self.n}")
-        cands = [i for i, w in enumerate(self.codewords)
-                 if all((wt, yt) in channel.support for wt, yt in zip(w, y))]
-        if len(cands) != 1:
-            raise AmbiguityError(f"{len(cands)} codeword candidates")
-        return cands[0]
+        index = self._admit.get(channel.support)
+        if index is None:
+            index = self._admit[channel.support] = _admit_index(
+                self.codewords, channel.support, self.n)
+        return _sole_admitted(index, len(self.codewords), y, "{} codeword candidates")
 
 
 def words_confusable(g: Graph, w1, w2) -> bool:
@@ -461,38 +505,41 @@ def _multinomial(counts) -> int:
     return out
 
 
+# The arrangements that start with letter a number multinomial(c - e_a)
+# = multinomial(c) * c_a / sum(c), an exact integer quotient, so ranking and
+# unranking step from one multinomial to the next instead of recomputing it.
+
+
 def _unrank_arrangement(rank: int, counts) -> list:
     """Arrangement of the multiset {a : counts[a] copies} with given rank
     (lexicographic)."""
     counts = list(counts)
+    block = _multinomial(counts)
+    if not 0 <= rank < block:
+        raise ValueError("arrangement rank out of range")
     out = []
-    for _ in range(sum(counts)):
-        for a in range(len(counts)):
-            if counts[a] == 0:
-                continue
-            counts[a] -= 1
-            block = _multinomial(counts)
-            if rank < block:
-                out.append(a)
+    for left in range(sum(counts), 0, -1):
+        for a, c in enumerate(counts):
+            sub = block * c // left
+            if rank < sub:
                 break
-            rank -= block
-            counts[a] += 1
-        else:
-            raise ValueError("arrangement rank out of range")
+            rank -= sub
+        out.append(a)
+        counts[a] -= 1
+        block = sub
     return out
 
 
 def _rank_arrangement(arrangement, counts) -> int:
     counts = list(counts)
+    total = sum(counts)
+    block = _multinomial(counts)
     rank = 0
     for a_star in arrangement:
-        for a in range(a_star):
-            if counts[a] == 0:
-                continue
-            counts[a] -= 1
-            rank += _multinomial(counts)
-            counts[a] += 1
+        rank += block * sum(counts[:a_star]) // total
+        block = block * counts[a_star] // total
         counts[a_star] -= 1
+        total -= 1
     return rank
 
 

@@ -299,3 +299,11 @@ def is_prefix_free(codes):
     """No codeword is a prefix of another: checked on sorted neighbours."""
     srt = sorted(codes)
     return all(not srt[i + 1].startswith(srt[i]) for i in range(len(srt) - 1))
+
+
+def scan_decode(words, support, y):
+    """Indices of the words whose every letter admits the outputs y: the
+    decoders' brute-force scan over every word, from before they looked the
+    outputs up in an admit index."""
+    return [i for i, w in enumerate(words)
+            if all((wt, yt) in support for wt, yt in zip(w, y))]

@@ -1,8 +1,10 @@
 """Operational zero-error codes: prefix-freeness, roundtrips, rate accounting."""
 
 import functools
+import itertools
 import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +25,7 @@ from zeroerr.codec import (
     AmbiguityError,
     Codebook,
     PartialSideInfoSpec,
+    SiCode,
     build_channel_code,
     build_partial_si_code,
     build_si_code,
@@ -44,7 +47,7 @@ from zeroerr.rng import SplitMix64
 from zeroerr.typicality import typical_set
 from zeroerr.verifier import typewriter_channel
 
-from oracles import is_prefix_free, kraft_sum
+from oracles import is_prefix_free, kraft_sum, scan_decode
 
 TRIALS = 3000
 
@@ -393,6 +396,28 @@ def test_sum_channel_encode_decode_all_messages():
         assert sc.decode_outputs(outputs) == msg
 
 
+def test_arrangement_rank_and_unrank_are_inverse_bijections():
+    # every composition with 1 to 4 parts and total 0 to 7, zero counts
+    # included: itertools.product lists the words over range(parts) in
+    # lexicographic order, so each composition's group is its sorted list of
+    # distinct arrangements
+    for parts in range(1, 5):
+        for total in range(8):
+            groups = {}
+            for word in itertools.product(range(parts), repeat=total):
+                counts = tuple(word.count(a) for a in range(parts))
+                groups.setdefault(counts, []).append(list(word))
+            assert len(groups) == math.comb(total + parts - 1, parts - 1)
+            for counts, arrangements in groups.items():
+                assert len(arrangements) == codec._multinomial(counts)
+                for rank, arrangement in enumerate(arrangements):
+                    assert codec._unrank_arrangement(rank, counts) == arrangement
+                    assert codec._rank_arrangement(arrangement, counts) == rank
+                for rank in (len(arrangements), -1):
+                    with pytest.raises(ValueError, match="rank out of range"):
+                        codec._unrank_arrangement(rank, counts)
+
+
 # --- malformed input ----------------------------------------------------------
 
 
@@ -492,6 +517,87 @@ def test_decoders_return_a_valid_decode_or_raise_ambiguity(seed, edits):
             assert len(got) == len(ys) == psi.n and all(0 <= s < 2 for s in got)
         except AmbiguityError:
             pass
+
+
+# --- admit-index decoders against the scan ---------------------------------------
+
+
+def _outcome(call):
+    try:
+        return "decoded", call()
+    except AmbiguityError as exc:
+        return "ambiguous", str(exc)
+
+
+def _scan_outcome(words, support, n, y, message):
+    if len(y) != n:
+        return "ambiguous", f"{len(y)} outputs for a block of {n}"
+    cands = scan_decode(words, support, y)
+    if len(cands) != 1:
+        return "ambiguous", message.format(len(cands))
+    return "decoded", cands[0]
+
+
+@st.composite
+def _decoder_cases(draw):
+    """Random supports (empty ones included), words of length n over the
+    inputs, optionally pruned to a zero-error book, outputs (noisy copies of
+    the words, and free lists with out-of-range and negative symbols and
+    wrong lengths) and a color per word for the SI code."""
+    x_count, y_count, n = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(0, 3))
+    pairs = st.sampled_from([(x, y) for x in range(x_count) for y in range(y_count)])
+    supports = [frozenset(draw(st.sets(pairs))) for _ in range(2)]
+    words = draw(st.lists(st.tuples(*[st.integers(0, x_count - 1)] * n), max_size=8))
+    checked = draw(st.booleans())
+    if checked:
+        g = characteristic_graph(SimpleNamespace(x_count=x_count, support=supports[0]))
+        kept = []
+        for w in words:
+            if not any(words_confusable(g, w, k) for k in kept):
+                kept.append(w)
+        words = kept
+    ys = []
+    for _ in range(draw(st.integers(1, 6))):
+        if words and draw(st.booleans()):
+            w = words[draw(st.integers(0, len(words) - 1))]
+            ys.append(tuple(draw(st.sampled_from(sorted(y for x, y in supports[0] if x == s)
+                                                 or [y_count])) for s in w))
+        else:
+            ys.append(tuple(draw(st.lists(st.integers(-2, y_count + 1),
+                                          min_size=max(0, n - 1), max_size=n + 1))))
+    colors = draw(st.lists(st.integers(0, 3), min_size=8, max_size=8))
+    return x_count, supports, n, words, checked, ys, colors
+
+
+@settings(derandomize=True, deadline=None, max_examples=300, database=None)
+@given(case=_decoder_cases())
+def test_admit_index_decoders_match_the_scan(case):
+    # Codebook.decode and SiCode.decode on the empty book, a one-word book and
+    # the whole book, each decoding every y against two supports in turn (the
+    # book keeps one admit index per support), give what the scan gives: the
+    # same word, or AmbiguityError with the same message
+    x_count, supports, n, words, checked, ys, colors = case
+    for book_words in (words[:0], words[:1], words):
+        book = Codebook(n, tuple(book_words), checked)
+        for support in supports + supports[:1]:
+            channel = SimpleNamespace(support=support)
+            for y in ys:
+                assert _outcome(lambda: book.decode(channel, y)) == _scan_outcome(
+                    book_words, support, n, y, "{} codeword candidates")
+        members = sorted(set(book_words))
+        color_of = tuple(colors[:len(members)])   # a color may be left empty
+        codewords = huffman_code([1] * 4)
+        si = SiCode(n, 0.5, x_count, supports[0], members, color_of, 4,
+                    codewords, max(1, (x_count ** n - 1).bit_length()))
+        for color, codeword in enumerate(codewords):
+            cls = [m for m, c in zip(members, color_of) if c == color]
+            bits = "0" + codeword
+            for y in ys:
+                got = _outcome(lambda: si.decode(y, bits))
+                kind, want = _scan_outcome(cls, supports[0], n, y,
+                                           "side-information decode found {} candidates")
+                assert got == ((kind, (cls[want], len(bits))) if kind == "decoded"
+                               else (kind, want))
 
 
 # --- shifted codebooks ------------------------------------------------------------
