@@ -557,6 +557,9 @@ class SumChannelCode:
     channels: tuple
     books: tuple
     composition: tuple
+    # codeword choices of one arrangement and the message count, made once
+    _word_space: int = field(init=False, compare=False, repr=False)
+    _message_count: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not (len(self.channels) == len(self.books) == len(self.composition)):
@@ -566,28 +569,27 @@ class SumChannelCode:
         for book in self.books:
             if not book.independence_checked:
                 raise ValueError("per-channel books must be independence-checked")
+        words = 1
+        for c, b in zip(self.composition, self.books):
+            words *= len(b.codewords) ** c
+        object.__setattr__(self, "_word_space", words)
+        object.__setattr__(self, "_message_count", _multinomial(self.composition) * words)
 
     @property
     def letter_count(self) -> int:
         return sum(c * b.n for c, b in zip(self.composition, self.books))
 
-    def _word_space(self) -> int:
-        out = 1
-        for c, b in zip(self.composition, self.books):
-            out *= len(b.codewords) ** c
-        return out
-
     def message_count(self) -> int:
-        return _multinomial(self.composition) * self._word_space()
+        return self._message_count
 
     def rate(self) -> float:
         return math.log2(self.message_count()) / self.letter_count
 
     def encode(self, message: int):
         """Message integer -> sequence of (channel, symbol) letters."""
-        if not 0 <= message < self.message_count():
+        if not 0 <= message < self._message_count:
             raise ValueError("message out of range")
-        arr_rank, word_rank = divmod(message, self._word_space())
+        arr_rank, word_rank = divmod(message, self._word_space)
         arrangement = _unrank_arrangement(arr_rank, self.composition)
         radices = [len(self.books[a].codewords) for a in arrangement]
         digits = []
@@ -622,7 +624,7 @@ class SumChannelCode:
         word_rank = 0
         for a, d in zip(arrangement, digits):
             word_rank = word_rank * len(self.books[a].codewords) + d
-        return _rank_arrangement(arrangement, self.composition) * self._word_space() + word_rank
+        return _rank_arrangement(arrangement, self.composition) * self._word_space + word_rank
 
 
 def build_sum_channel_code(channels, books, composition) -> SumChannelCode:

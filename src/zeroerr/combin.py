@@ -22,7 +22,6 @@ from .graphs import (
     complement,
     connected_components,
     induced_subgraph_graph,
-    popcount,
     solved_once,
 )
 
@@ -120,8 +119,8 @@ class _CliqueSolver:
     def _greedy_seed(self):
         # best of a few deterministic vertex orders
         for key in (lambda v: v,
-                    lambda v: popcount(self.rows[v]),
-                    lambda v: -popcount(self.rows[v])):
+                    lambda v: self.rows[v].bit_count(),
+                    lambda v: -self.rows[v].bit_count()):
             taken, size = 0, 0
             banned = 0
             for v in sorted(range(self.n), key=key):
@@ -195,6 +194,17 @@ def max_clique(g: Graph):
     return _CliqueSolver(g, _root_order(g)).solve()
 
 
+def _components(g: Graph) -> list:
+    """(vertex list, induced subgraph) of each connected component of g, in
+    min-vertex order; empty when g has at most one component, which the
+    caller then solves directly."""
+    comps = connected_components(g)
+    if len(comps) <= 1:
+        return []
+    return [(keep, induced_subgraph_graph(g, keep))
+            for keep in (list(bits_of(comp)) for comp in comps)]
+
+
 @solved_once
 def alpha_exact(g: Graph) -> AlphaResult:
     """Maximum independent set via branch and bound on the complement.
@@ -202,14 +212,13 @@ def alpha_exact(g: Graph) -> AlphaResult:
     Disconnected graphs decompose: alpha is additive over components."""
     if g.n > 1024:
         raise ZeroErrError(f"alpha solver limited to 1024 vertices, got {g.n}")
-    comps = connected_components(g)
-    if len(comps) <= 1:
+    parts = _components(g)
+    if not parts:
         size, mask, exact = max_clique(complement(g))
     else:
         size, mask, exact = 0, 0, True
-        for comp in comps:
-            keep = list(bits_of(comp))
-            s, m, e = max_clique(complement(induced_subgraph_graph(g, keep)))
+        for keep, sub in parts:
+            s, m, e = max_clique(complement(sub))
             size += s
             exact = exact and e
             for v in bits_of(m):
@@ -398,13 +407,12 @@ def chromatic_number_exact(g: Graph) -> ChiResult:
         raise ZeroErrError(f"chromatic solver limited to 256 vertices, got {g.n}")
     if g.n == 0:
         return ChiResult(0, Coloring((), 0), True)
-    comps = connected_components(g)
-    if len(comps) > 1:
+    parts = _components(g)
+    if parts:
         color_of = [0] * g.n
         k, exact = 0, True
-        for comp in comps:
-            keep = list(bits_of(comp))
-            res = chromatic_number_exact(induced_subgraph_graph(g, keep))
+        for keep, sub in parts:
+            res = chromatic_number_exact(sub)
             k = max(k, res.count)
             exact = exact and res.exact
             for local, v in enumerate(keep):
@@ -426,14 +434,13 @@ def clique_cover_number(g: Graph) -> ChiResult:
 
     Cliques never cross components, so covers add up across them; this keeps
     the complement solves small for disjoint unions."""
-    comps = connected_components(g)
-    if len(comps) <= 1:
+    parts = _components(g)
+    if not parts:
         return chromatic_number_exact(complement(g))
     color_of = [0] * g.n
     total, exact = 0, True
-    for comp in comps:
-        keep = list(bits_of(comp))
-        res = chromatic_number_exact(complement(induced_subgraph_graph(g, keep)))
+    for keep, sub in parts:
+        res = chromatic_number_exact(complement(sub))
         for local, v in enumerate(keep):
             color_of[v] = total + res.coloring.color_of[local]
         total += res.count
@@ -525,7 +532,7 @@ def mis_masks(g: Graph, limit: int = MIS_LIMIT) -> list:
 def maximal_independent_sets(g: Graph, limit: int = MIS_LIMIT):
     """All inclusion-maximal independent sets as witnesses, ascending by
     bitset."""
-    return [IndependentSetWitness(m, popcount(m)) for m in mis_masks(g, limit)]
+    return [IndependentSetWitness(m, m.bit_count()) for m in mis_masks(g, limit)]
 
 
 def greedy_maximal_independent_set(g: Graph) -> IndependentSetWitness:
@@ -536,7 +543,7 @@ def greedy_maximal_independent_set(g: Graph) -> IndependentSetWitness:
         v = (candidates & -candidates).bit_length() - 1
         taken |= 1 << v
         candidates &= ~(g.rows[v] | (1 << v))
-    return IndependentSetWitness(taken, popcount(taken))
+    return IndependentSetWitness(taken, taken.bit_count())
 
 
 # ---------------------------------------------------------------------------

@@ -96,10 +96,6 @@ def solved_once(fn):
     return once
 
 
-def popcount(x: int) -> int:
-    return x.bit_count()
-
-
 def bits_of(mask: int):
     """Iterate set bit positions of a bitset, ascending."""
     while mask:
@@ -141,7 +137,7 @@ class Graph:
         return bool((self.rows[i] >> j) & 1)
 
     def degree(self, i: int) -> int:
-        return popcount(self.rows[i])
+        return self.rows[i].bit_count()
 
     def edges(self) -> list:
         out = []

@@ -1,7 +1,9 @@
 """Convex and numerical solvers: Koerner graph entropy, capacity maximizers,
-sum-of-channels weights, an eigenvalue bound on theta for regular graphs,
-finite-field rank bound.  Each checks its own precondition (perfect graphs
-for capacity, regular ones for theta); no caller can vouch for one.
+sum-of-channels weights, an eigenvalue bound on theta for regular graphs
+(lambda_min from numpy's `eigvalsh`, stepped down by an allowance of
+n d 2^-52 for its rounding), finite-field rank bound.  Each checks its own
+precondition (perfect graphs for capacity, regular ones for theta); no
+caller can vouch for one.
 
 Everything is in bits (log base 2).
 """
@@ -20,7 +22,6 @@ from .graphs import (
     ProbabilisticGraph,
     Undecided,
     ZeroErrError,
-    bits_of,
     solved_once,
 )
 from .combin import mis_masks
@@ -30,7 +31,9 @@ LN2 = math.log(2.0)
 CAPACITY_KORNER_TOL = 1e-10  # Koerner tolerance of each capacity evaluation
 KORNER_MAX_ITER = 100_000  # most fixed-point steps of one Koerner solve
 KORNER_HISTORY_FLOATS = 4096  # iterate rows one Koerner look-ahead block keeps
-THETA_VERTEX_LIMIT = 32  # largest graph the Jacobi eigenvalue solve takes
+# Largest graph the theta candidate runs on.  eigvalsh is not what limits it:
+# the limit stays until an exact eigenvalue check is timed at 60 and 100 vertices.
+THETA_VERTEX_LIMIT = 32
 
 
 # ---------------------------------------------------------------------------
@@ -329,39 +332,6 @@ def sum_channel_weights(c0_values):
 # eigenvalue bound on theta for regular graphs
 
 
-def jacobi_eigenvalues(matrix: np.ndarray, off_threshold: float = 1e-12,
-                       max_sweeps: int = 100) -> np.ndarray:
-    """Cyclic Jacobi eigenvalues of a symmetric matrix, ascending.
-
-    Deterministic sweep order (p ascending, then q); terminates when the
-    off-diagonal Frobenius norm drops below `off_threshold`.
-    """
-    a = np.array(matrix, dtype=float)
-    n = a.shape[0]
-    if a.shape != (n, n) or not np.allclose(a, a.T, atol=1e-12):
-        raise ValueError("matrix must be symmetric square")
-    for _ in range(max_sweeps):
-        off = math.sqrt(max(0.0, float((a * a).sum() - (np.diag(a) ** 2).sum())))
-        if off < off_threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) < off_threshold / max(1, n * n):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = a[p, :].copy(), a[q, :].copy()
-                a[p, :] = c * rp - s * rq
-                a[q, :] = s * rp + c * rq
-                cp, cq = a[:, p].copy(), a[:, q].copy()
-                a[:, p] = c * cp - s * cq
-                a[:, q] = s * cp + c * cq
-    return np.sort(np.diag(a))
-
-
 @solved_once
 def theta_transitive(g: Graph) -> float:
     """Lovasz's bound n (-lambda_min) / (d - lambda_min) on theta of a
@@ -369,7 +339,14 @@ def theta_transitive(g: Graph) -> float:
     is feasible for the dual of theta, and the bound is its largest
     eigenvalue.  Equality holds on edge-transitive graphs.
 
-    log2 of the result is a certified upper bound on the zero-error capacity.
+    lambda_min comes from LAPACK's symmetric eigensolver
+    (`numpy.linalg.eigvalsh`), which is backward stable to about n u ||A||_2
+    with ||A||_2 = d, so it is stepped down by the allowance n d 2^-52
+    before the bound is evaluated.  The bound falls as lambda rises, so the
+    step errs upward.  This is a float estimate, not a proof: no check
+    shows the stepped value below lambda_min.
+
+    log2 of the result is an upper bound on the zero-error capacity.
     Refuses graphs that are not regular; above THETA_VERTEX_LIMIT vertices
     raises Undecided.
     """
@@ -383,12 +360,8 @@ def theta_transitive(g: Graph) -> float:
     if g.n > THETA_VERTEX_LIMIT:
         raise Undecided("undecided (budget): theta eigenvalue bound limited "
                         f"to {THETA_VERTEX_LIMIT} vertices")
-    adj = np.zeros((g.n, g.n))
-    for i in range(g.n):
-        for j in bits_of(g.rows[i]):
-            adj[i, j] = 1.0
-    lam_min = float(jacobi_eigenvalues(adj)[0])
-    return g.n * (-lam_min) / (d - lam_min)
+    lam = float(np.linalg.eigvalsh(_membership(g.rows, g.n))[0]) - g.n * d * 2.0 ** -52
+    return g.n * (-lam) / (d - lam)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .graphs import Graph, Undecided, bits_of, complement, popcount, solved_once
+from .graphs import Graph, Undecided, bits_of, complement, solved_once
 
 PERFECT_VERTEX_LIMIT = 14
 
@@ -73,7 +73,7 @@ def srg_parameters(g: Graph):
     lam = mu = None
     for i in range(g.n):
         for j in range(i + 1, g.n):
-            common = popcount(g.rows[i] & g.rows[j])
+            common = (g.rows[i] & g.rows[j]).bit_count()
             if g.has_edge(i, j):
                 if lam is None:
                     lam = common

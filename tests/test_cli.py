@@ -377,9 +377,10 @@ def _env():
     return env
 
 
-def _fresh(python_args):
-    """(exit code, stdout) of `python <python_args>` in a new interpreter."""
-    proc = subprocess.run([sys.executable, *python_args], env=_env(),
+def _fresh(python_args, **env):
+    """(exit code, stdout) of `python <python_args>` in a new interpreter,
+    with `env` added to its environment."""
+    proc = subprocess.run([sys.executable, *python_args], env={**_env(), **env},
                           capture_output=True, text=True, timeout=120)
     return proc.returncode, proc.stdout
 
@@ -404,3 +405,15 @@ def test_shared_parser_matches_fresh_processes(tmp_path, capsys):
         code, stdout, _ = run(capsys, *argv)
         assert (code, stdout) == _fresh(["-m", "zeroerr.cli", *argv])
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_blas_thread_count_does_not_change_theta_payloads(tmp_path, capsys):
+    # theta's lambda_min comes from LAPACK; the variable is set only in the
+    # child's environment, since the package reads none
+    for name, extra in (("cycle", ("--n", "5")), ("schlafli", ())):
+        g = tmp_path / f"{name}.json"
+        run(capsys, "graph", "catalog", "--name", name, *extra, "--out", str(g))
+        argv = ["-m", "zeroerr.cli", "bounds", "c0", "--graph", str(g)]
+        one = _fresh(argv, OPENBLAS_NUM_THREADS="1")
+        assert one[0] == 0 and "lovasz_theta_transitive" in one[1]
+        assert one == _fresh(argv, OPENBLAS_NUM_THREADS="2")

@@ -386,6 +386,23 @@ def test_sum_channel_roundtrips():
     assert sum_channel_roundtrip(sc, TRIALS // 3, seed=31) == 0
 
 
+def test_sum_channel_code_counts_its_messages_once(monkeypatch):
+    # the codec-sum code: the message count and word space are made when the
+    # code is built, so a message costs one multinomial to unrank its
+    # arrangement and one to rank it back
+    ch3 = ChannelSpec(3, 3, frozenset((x, x) for x in range(3)))
+    ch7 = ChannelSpec(7, 7, frozenset((x, x) for x in range(7)))
+    sc = build_sum_channel_code([ch3, ch7], [build_channel_code(ch3, 1, "exact"),
+                                             build_channel_code(ch7, 1, "exact")], (3, 7))
+    calls = []
+    multinomial = codec._multinomial
+    monkeypatch.setattr(codec, "_multinomial",
+                        lambda counts: calls.append(counts) or multinomial(counts))
+    trials = 50
+    assert sum_channel_roundtrip(sc, trials, seed=5) == 0
+    assert len(calls) <= 2 * trials
+
+
 def test_sum_channel_encode_decode_all_messages():
     id2 = ChannelSpec(2, 2, frozenset((x, x) for x in range(2)))
     b2 = build_channel_code(id2, 1)
