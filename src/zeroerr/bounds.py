@@ -10,7 +10,6 @@ flagged estimates in `typicality` instead.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +20,6 @@ from .graphs import (
     ZeroErrError,
     and_power,
     and_power_graph,
-    and_product_graph,
 )
 from .combin import (
     alpha_exact,
@@ -35,12 +33,12 @@ from .numopt import (THETA_VERTEX_LIMIT, adjacency_plus_identity, haemers_bound,
 from .symmetry import is_perfect
 
 REGISTRY_VERSION = 1
+KORNER_TOL = 1e-10  # default Koerner tolerance of the hbar, c_rel and eta pipelines
 
 METHOD_REGISTRY = frozenset({
     "alpha_power",                 # lo C0: (1/n) log alpha(G^n), superadditive
     "perfect_alpha",               # lo=hi C0 on certified perfect graphs
     "clique_cover_power",          # hi C0: (1/n) log cover(G^n)
-    "product_clique_cover",        # hi C0: covers multiply across AND factors
     "lovasz_theta_transitive",     # hi C0: Thm 9 bound on regular graphs, theta
                                    # when edge-transitive; detail `theta` is that bound
     "haemers_rank",                # hi C0: log2 rank of a fitting matrix
@@ -125,25 +123,16 @@ def _certified_perfect(g: Graph) -> bool:
         return False
 
 
-def _c0_upper(g: Graph, powers, factors) -> list:
-    """Upper candidates on C0(G): clique covers of the powers (G^1, G^2, ...),
-    the product of factor covers, the theta bound on regular graphs, A+I rank
-    over GF(2), GF(3).  Factors whose AND product, in the product's vertex
-    numbering, is not g itself raise ValueError."""
-    if factors and functools.reduce(and_product_graph, factors).rows != g.rows:
-        raise ValueError("factors do not multiply to the graph in the product numbering")
+def _c0_upper(g: Graph, powers) -> list:
+    """Upper candidates on C0(G), each computed from g alone: clique covers of
+    the powers (G^1, G^2, ...), the theta bound on regular graphs, A+I rank
+    over GF(2), GF(3)."""
     cands = []
     for n, power in enumerate(powers, 1):
         cover = clique_cover_number(power)
         cands.append((math.log2(cover.count) / n,
                       Certificate("clique_cover_power",
                                   {"n": n, "cover": cover.count, "exact": cover.exact})))
-    if factors:
-        covers = [clique_cover_number(f) for f in factors]
-        cands.append((math.log2(math.prod(c.count for c in covers)),
-                      Certificate("product_clique_cover",
-                                  {"factor_covers": [c.count for c in covers],
-                                   "exact": all(c.exact for c in covers)})))
     if g.is_regular() and g.degree(0) > 0 and g.n <= THETA_VERTEX_LIMIT:
         th = theta_transitive(g)
         cands.append((math.log2(th), Certificate("lovasz_theta_transitive", {"theta": th})))
@@ -165,12 +154,8 @@ def _interval(lo_cands, hi_cands) -> BoundInterval:
 # C0
 
 
-def c0_bounds(g: Graph, max_n: int = 1, factors=None) -> BoundInterval:
-    """Certified interval on the zero-error capacity C0(G) in bits.
-
-    `factors`: optional AND-factorization of g, checked against g; factor
-    clique covers multiply to a sound one-shot cover of the product.
-    """
+def c0_bounds(g: Graph, max_n: int = 1) -> BoundInterval:
+    """Certified interval on the zero-error capacity C0(G) in bits."""
     if g.n == 0:
         raise ValueError("empty graph")
     if _certified_perfect(g):
@@ -187,7 +172,7 @@ def c0_bounds(g: Graph, max_n: int = 1, factors=None) -> BoundInterval:
         lo_cands.append((math.log2(a.size) / n,
                          Certificate("alpha_power",
                                      {"n": n, "alpha": a.size, "exact": a.exact})))
-    return _interval(lo_cands, _c0_upper(g, powers, factors))
+    return _interval(lo_cands, _c0_upper(g, powers))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +199,8 @@ def h0_bounds(g: Graph, max_n: int = 1) -> BoundInterval:
 # Hbar (complementary graph entropy)
 
 
-def hbar_bounds(pg: ProbabilisticGraph, max_n: int = 1, korner_tol: float = 1e-10,
-                factors=None) -> BoundInterval:
+def hbar_bounds(pg: ProbabilisticGraph, max_n: int = 1,
+                korner_tol: float = KORNER_TOL) -> BoundInterval:
     """Certified interval on Hbar(G, P) in bits.
 
     Upper end: minimum over (1/n) H_chi(G^n, P^n) (exact DP within the size
@@ -247,7 +232,7 @@ def hbar_bounds(pg: ProbabilisticGraph, max_n: int = 1, korner_tol: float = 1e-1
                          Certificate("chi_power",
                                      {"n": n, "chi": chi.count, "exact": chi.exact})))
 
-    c0_hi, c0_hi_cert = min(_c0_upper(g, [q.graph for q in powers], factors),
+    c0_hi, c0_hi_cert = min(_c0_upper(g, [q.graph for q in powers]),
                             key=lambda c: c[0])
     h = pg.dist.entropy()
     lo_cands = [
@@ -266,9 +251,10 @@ def hbar_bounds(pg: ProbabilisticGraph, max_n: int = 1, korner_tol: float = 1e-1
 # C(G, P) by Marton reflection
 
 
-def c_rel_bounds(pg: ProbabilisticGraph, max_n: int = 1, **kwargs) -> BoundInterval:
+def c_rel_bounds(pg: ProbabilisticGraph, max_n: int = 1,
+                 korner_tol: float = KORNER_TOL) -> BoundInterval:
     """Interval on the relative capacity C(G,P) = H(P) - Hbar(G,P)."""
-    hbar = hbar_bounds(pg, max_n=max_n, **kwargs)
+    hbar = hbar_bounds(pg, max_n=max_n, korner_tol=korner_tol)
     h = pg.dist.entropy()
     return BoundInterval(
         max(0.0, h - hbar.hi), max(0.0, h - hbar.lo),

@@ -57,7 +57,6 @@ from .combin import (
 from .numopt import (
     capacity_achieving_distribution,
     korner_entropy,
-    matrix_from_json_dict,
 )
 from .bounds import c0_bounds, c_rel_bounds, h0_bounds, hbar_bounds
 from .typicality import eta_bounds, typical_alpha_estimate
@@ -153,7 +152,17 @@ def _interval_payload(quantity: str, iv) -> dict:
 # subcommand handlers
 
 
+GRAPH_ACTIONS = {  # each `graph` action and the options it requires
+    "build": ("n",), "product": ("graph", "graph2"), "union": ("graph", "graph2"),
+    "complement": ("graph",), "power": ("graph", "n"), "catalog": ("name",),
+    "info": ("graph",), "characteristic": ("channel",),
+}
+
+
 def _cmd_graph(args) -> int:
+    for opt in GRAPH_ACTIONS[args.action]:
+        if getattr(args, opt) is None:
+            raise ValueError(f"graph {args.action} requires --{opt}")
     if args.action == "build":
         edges = []
         if args.edges:
@@ -376,11 +385,7 @@ def _cmd_eta(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    matrix = None
-    if args.haemers_matrix:
-        matrix = matrix_from_json_dict(load_json(args.haemers_matrix))
-    cfg = VerifyConfig(seed=args.seed, trials=args.trials, haemers_matrix=matrix,
-                       tags=tuple(args.tag or ()))
+    cfg = VerifyConfig(seed=args.seed, trials=args.trials, tags=tuple(args.tag or ()))
     report = full_suite(cfg)
     _disarm()
     if args.csv:
@@ -432,8 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("graph", help="constructions and file I/O")
-    g.add_argument("action", choices=("build", "product", "union", "complement",
-                                      "power", "catalog", "info", "characteristic"))
+    g.add_argument("action", choices=tuple(GRAPH_ACTIONS))
     g.add_argument("--graph")
     g.add_argument("--graph2")
     g.add_argument("--channel")
@@ -498,8 +502,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--tag", action="append")
     v.add_argument("--trials", type=int, default=2000)
     v.add_argument("--csv", help="write the CSV summary table here")
-    v.add_argument("--haemers-matrix",
-                   help="JSON fitting matrix for the Schlafli complement")
     v.add_argument("--full-report", action="store_true")
     _add_common(v)
     v.set_defaults(func=_cmd_verify)

@@ -398,16 +398,6 @@ class FiniteFieldMatrix:
     def n(self) -> int:
         return len(self.entries)
 
-    def to_json_dict(self) -> dict:
-        return {"p": self.p, "rows": [list(r) for r in self.entries]}
-
-
-def matrix_from_json_dict(d: dict) -> FiniteFieldMatrix:
-    try:
-        return FiniteFieldMatrix(int(d["p"]), tuple(tuple(int(v) for v in r) for r in d["rows"]))
-    except (KeyError, TypeError, OverflowError) as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from exc
-
 
 def gf_rank(m: FiniteFieldMatrix) -> int:
     """Rank over GF(p) by Gaussian elimination."""

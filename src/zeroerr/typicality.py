@@ -21,7 +21,7 @@ from .graphs import (
     induced_subgraph,
 )
 from .combin import alpha_exact
-from .bounds import hbar_bounds, scale_interval
+from .bounds import KORNER_TOL, hbar_bounds, scale_interval
 from .rng import SplitMix64, weighted_draw
 
 ENUM_LIMIT = 1 << 24  # most typical sequences `members` materializes
@@ -276,7 +276,7 @@ def type_split(seq, beta, p1: Distribution, p2: Distribution,
 # eta: union entropy through the product-of-powers identity
 
 
-def eta_bounds(parts, p_a, max_n: int = 1, **bound_kwargs):
+def eta_bounds(parts, p_a, max_n: int = 1, korner_tol: float = KORNER_TOL):
     """Certified interval for eta(P_A) = Hbar of the P_A-weighted disjoint
     union, evaluated as (1/k) * hbar interval of the product of k*P_A(a)-th
     powers; P_A must be a type with denominator k.
@@ -302,5 +302,5 @@ def eta_bounds(parts, p_a, max_n: int = 1, **bound_kwargs):
         product = block if product is None else and_product(product, block)
     if product is None:
         raise ValueError("P_A has empty support")
-    inner = hbar_bounds(product, max_n=max_n, **bound_kwargs)
+    inner = hbar_bounds(product, max_n=max_n, korner_tol=korner_tol)
     return scale_interval(inner, 1.0 / k, f"eta_scaled(k={k})"), product, k

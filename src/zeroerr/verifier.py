@@ -36,7 +36,6 @@ from .graphs import (
 from .combin import alpha_exact, clique_cover_number, min_entropy_coloring
 from .numopt import (
     capacity_achieving_distribution,
-    haemers_bound,
     korner_entropy,
     relative_capacity_perfect,
     sum_channel_weights,
@@ -70,7 +69,6 @@ KORNER_TOL = 1e-11  # Koerner tolerance of every scenario
 class VerifyConfig:
     seed: int = 2024
     trials: int = 2000
-    haemers_matrix: object = None   # optional user FiniteFieldMatrix for S-bar
     tags: tuple = ()
 
 
@@ -442,13 +440,13 @@ def _sc_c6c8(cfg):
     checks.append(Check("odd-hole witness found", (not ok) and not in_comp
                         and hole is not None and len(hole) == 7,
                         len(hole) if hole else 0, 7, 0))
-    # C0 linearization over the perfect factors
-    iv = c0_bounds(prod, factors=[c6, c8])
+    # C0 linearization: the product's own clique cover meets alpha = 12
+    iv = c0_bounds(prod)
     checks.append(_close("c0(C6^C8) = log 12", iv.midpoint, math.log2(12), 1e-9))
     checks.append(_leq("c0(C6^C8) width", iv.width, 1e-9))
     # Hbar of the product at uniform: equals H_kappa(C6)+H_kappa(C8) = 2 bits
     pgp = and_product(uniform_pgraph(c6), uniform_pgraph(c8))
-    hbar = hbar_bounds(pgp, korner_tol=KORNER_TOL, factors=[c6, c8])
+    hbar = hbar_bounds(pgp, korner_tol=KORNER_TOL)
     k6 = korner_entropy(uniform_pgraph(c6), KORNER_TOL).value
     k8 = korner_entropy(uniform_pgraph(c8), KORNER_TOL).value
     checks.append(_close("hbar(C6^C8, U) = H_k(C6)+H_k(C8)", hbar.midpoint,
@@ -474,7 +472,7 @@ def _sc_c5_with_perfect(cfg):
     ]
     prod = and_product(uniform_pgraph(g), c5u)
     target_prod = kg + HALF_LOG2_5
-    ivp = hbar_bounds(prod, max_n=1, korner_tol=KORNER_TOL, factors=[g, cycle(5)])
+    ivp = hbar_bounds(prod, max_n=1, korner_tol=KORNER_TOL)
     checks.append(_leq("hbar(G ^ C5) lo <= H_kappa + half log 5", ivp.lo, target_prod))
     checks.append(_leq("hbar(G ^ C5) hi >= target", target_prod, ivp.hi))
     return checks
@@ -506,13 +504,9 @@ def _sc_schlafli(cfg):
     checks.append(_close("c0(S) = log 3", iv_s.midpoint, math.log2(3), 1e-6))
     checks.append(_leq("c0(S) width", iv_s.width, 1e-6))
     # strictness: the independent diagonal puts c0(S x S-bar) at log 27 or more
-    if cfg.haemers_matrix is None:
-        sb_hi, note = c0_bounds(sbar).hi, ""
-    else:
-        sb_hi, note = haemers_bound(sbar, cfg.haemers_matrix), "S-bar end: user fitting matrix"
-    total = iv_s.hi + sb_hi
+    total = iv_s.hi + c0_bounds(sbar).hi
     checks.append(Check("C0-level strictness", total < math.log2(27) - 1e-9,
-                        total, math.log2(27), 1e-9, note))
+                        total, math.log2(27), 1e-9))
     return checks
 
 
@@ -903,8 +897,7 @@ def run_scenario(scenario: Scenario, cfg: VerifyConfig) -> dict:
 
 def full_suite(cfg: VerifyConfig = VerifyConfig()) -> dict:
     """Run the registered scenarios (optionally filtered by tag) and return
-    the aggregate report.  Execution is sequential and deterministic; the
-    thread-count knob never changes results."""
+    the aggregate report.  Execution is sequential and deterministic."""
     selected = [s for s in SCENARIOS
                 if not cfg.tags or any(t in cfg.tags for t in s.tags)]
     results = [run_scenario(s, cfg) for s in selected]

@@ -63,31 +63,31 @@ def test_c0_trivial_graphs():
 
 
 def test_c0_c6c8_perfect_factor_linearization():
-    c6, c8 = cycle(6), cycle(8)
-    prod = and_product_graph(c6, c8)
-    iv = c0_bounds(prod, factors=[c6, c8])
+    # the product's own clique cover (3 * 4) meets its alpha: no factors needed
+    iv = c0_bounds(and_product_graph(cycle(6), cycle(8)))
     assert iv.lo == pytest.approx(math.log2(12), abs=1e-9)
     assert iv.hi == pytest.approx(math.log2(12), abs=1e-9)
 
 
-def test_factors_that_do_not_multiply_to_the_graph_raise():
-    # C5 is no AND product of two isolated vertices: trusting the factors
-    # printed C0 <= 1 and Hbar >= 1.32, both past the true 1.161
-    with pytest.raises(ValueError, match="factors do not multiply"):
-        c0_bounds(cycle(5), factors=[empty(2)])
-    with pytest.raises(ValueError, match="factors do not multiply"):
-        hbar_bounds(uniform_pgraph(cycle(5)), factors=[empty(2)])
-    # the right factors in the other order number the vertices differently
-    with pytest.raises(ValueError, match="factors do not multiply"):
-        c0_bounds(and_product_graph(cycle(6), cycle(5)), factors=[cycle(5), cycle(6)])
-
-
-def test_true_factors_keep_the_intervals():
-    for a, b in ((cycle(6), cycle(8)), (cycle(6), cycle(5))):
-        g = and_product_graph(a, b)
-        assert c0_bounds(g, factors=[a, b]) == c0_bounds(g)
-        pg = and_product(uniform_pgraph(a), uniform_pgraph(b))
-        assert hbar_bounds(pg, factors=[a, b]) == hbar_bounds(pg)
+def test_perfect_times_pentagon_intervals():
+    # the paper's perfect x C5 row, C6 x C5 at U, computed from the product
+    # graph alone: C0 in [log 6, log 9] and Hbar in [H(P) - log 9, log 5]
+    c6, c5 = cycle(6), cycle(5)
+    cover = {"method": "clique_cover_power", "registry_version": 1,
+             "details": {"n": 1, "cover": 9, "exact": True}}
+    assert c0_bounds(and_product_graph(c6, c5)).to_json_dict("C0") == {
+        "quantity": "C0", "lo": 2.584962500721156, "hi": 3.169925001442312,
+        "lo_cert": {"method": "alpha_power", "registry_version": 1,
+                    "details": {"n": 1, "alpha": 6, "exact": True}},
+        "hi_cert": cover}
+    pg = and_product(uniform_pgraph(c6), uniform_pgraph(c5))
+    assert hbar_bounds(pg).to_json_dict("Hbar") == {
+        "quantity": "Hbar", "lo": 1.7369655941662066, "hi": 2.321928094887362,
+        "lo_cert": {"method": "marton_capacity_reflect", "registry_version": 1,
+                    "details": {"entropy": 4.906890595608519,
+                                "c0_hi": 3.169925001442312, "c0_hi_cert": cover}},
+        "hi_cert": {"method": "chi_power", "registry_version": 1,
+                    "details": {"n": 1, "chi": 5, "exact": True}}}
 
 
 def test_c0_schlafli():
@@ -317,8 +317,7 @@ def test_hbar_c6c8_closes_without_a_korner_solve(monkeypatch):
     # log chi = 2 above and H(P) - log(3 * 4) below close the interval, so the
     # 48-vertex product needs no Koerner solve; the report is unchanged
     calls = _count_korner_solves(monkeypatch)
-    c6, c8 = cycle(6), cycle(8)
-    iv = hbar_bounds(and_product(uniform_pgraph(c6), uniform_pgraph(c8)), factors=[c6, c8])
+    iv = hbar_bounds(and_product(uniform_pgraph(cycle(6)), uniform_pgraph(cycle(8))))
     assert calls == []
     assert iv.to_json_dict("Hbar") == {
         "quantity": "Hbar", "lo": 2.0000000000000044, "hi": 2.0,

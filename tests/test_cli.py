@@ -259,6 +259,23 @@ def _refused(capsys, argv, message):
     assert (code, stdout) == (1, "") and err.startswith(f"error: {message}")
 
 
+def test_graph_actions_refuse_a_missing_required_option(tmp_path, capsys):
+    g = tmp_path / "c5.json"
+    run(capsys, "graph", "catalog", "--name", "cycle", "--n", "5", "--out", str(g))
+    values = {"graph": str(g), "graph2": str(g), "channel": str(_typewriter_file(tmp_path)),
+              "n": "2", "name": "cycle"}
+    required = {"build": ["n"], "catalog": ["name"], "complement": ["graph"],
+                "info": ["graph"], "power": ["graph", "n"], "product": ["graph", "graph2"],
+                "union": ["graph", "graph2"], "characteristic": ["channel"]}
+    for action, opts in required.items():
+        for missing in opts:
+            argv = ["graph", action]
+            for opt in opts:
+                if opt != missing:
+                    argv += [f"--{opt}", values[opt]]
+            _refused(capsys, argv, f"graph {action} requires --{missing}")
+
+
 def test_negative_budgets_are_errors(tmp_path, capsys):
     g = tmp_path / "c5.json"
     run(capsys, "graph", "catalog", "--name", "cycle", "--n", "5", "--out", str(g))

@@ -36,7 +36,7 @@ from zeroerr.graphs import (
     uniform_pgraph,
 )
 from zeroerr.combin import chromatic_number_exact
-from zeroerr.numopt import korner_entropy, matrix_from_json_dict
+from zeroerr.numopt import korner_entropy
 from zeroerr.rng import SplitMix64
 from zeroerr.symmetry import is_perfect
 from zeroerr.verifier import random_graph
@@ -315,7 +315,6 @@ LOADER_DOCS = [
     (pgraph_from_json_dict, {"n": 3, "edges": [[0, 1]], "dist": {"num": [1, 1, 2], "den": 4}}),
     (pgraph_from_json_dict, {"n": 2, "edges": [[0, 1]], "dist": [0.25, 0.75]}),
     (channel_from_json_dict, {"x_count": 2, "y_count": 2, "support": [[0, 0], [1, 0], [1, 1]]}),
-    (matrix_from_json_dict, {"p": 3, "rows": [[1, 0], [2, 1]]}),
 ]
 # JSON values an edit puts in place of one item (json.load reads NaN and
 # Infinity too); an index past the end deletes the item

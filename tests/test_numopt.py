@@ -32,7 +32,6 @@ from zeroerr.numopt import (
     gf_rank,
     haemers_bound,
     korner_entropy,
-    matrix_from_json_dict,
     perfect_capacity_evaluator,
     relative_capacity_perfect,
     sum_channel_weights,
@@ -471,6 +470,10 @@ def test_haemers_examples():
     zero_diag = FiniteFieldMatrix(2, ((0,),))
     with pytest.raises(ZeroErrError, match="diagonal"):
         haemers_bound(empty(1), zero_diag)
+    with pytest.raises(ValueError):
+        FiniteFieldMatrix(4, ((1,),))  # not prime
+    with pytest.raises(ValueError):
+        FiniteFieldMatrix(3, ((3,),))  # out of field
 
 
 def test_haemers_never_below_log_alpha():
@@ -481,12 +484,3 @@ def test_haemers_never_below_log_alpha():
         for p in (2, 3):
             assert haemers_bound(g, adjacency_plus_identity(g, p)) >= \
                 math.log2(a) - 1e-9
-
-
-def test_matrix_json():
-    m = FiniteFieldMatrix(3, ((1, 2), (0, 1)))
-    assert matrix_from_json_dict(m.to_json_dict()).entries == m.entries
-    with pytest.raises(ValueError):
-        FiniteFieldMatrix(4, ((1,),))  # not prime
-    with pytest.raises(ValueError):
-        FiniteFieldMatrix(3, ((3,),))  # out of field

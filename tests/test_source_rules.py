@@ -11,6 +11,9 @@
   module depends on.
 - No parameter named `assume_*`: a certificate checks its own
   precondition and no caller can vouch for it instead.
+- No function takes `**kwargs`: a pipeline's settings are read from its
+  signature, not forwarded unseen.  The one exception is the wrapper of
+  `graphs.solved_once`, which passes any call through unchanged.
 - No `functools.cache`, `lru_cache` or `cached_property`: the one result
   store lives in the `graphs.Budget` scope and ends with it, so no result
   persists from one command to the next, and repeated in-process runs
@@ -36,6 +39,7 @@ BUDGET_PARAMS = {"budget", "vertex_budget"}
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
 CACHES = {"cache", "lru_cache", "cached_property"}
 ALLOWED_CACHES = {("cli.py", "build_parser")}
+ALLOWED_KWARGS = {("graphs.py", "once")}
 ENVIRONMENT = {"environ", "getenv", "putenv"}
 EXACT_DRAW_MODULES = {"codec.py", "typicality.py"}
 
@@ -95,6 +99,14 @@ def test_no_import_inside_a_function():
 def test_no_parameter_assumes_a_precondition():
     found = _params_where(lambda arg: arg.startswith("assume_"))
     assert not found, f"parameters that skip a check: {found}"
+
+
+def test_no_function_takes_kwargs():
+    found = [f"{name}:{fn.lineno} {getattr(fn, 'name', 'lambda')}"
+             for name, tree in _modules() for fn in ast.walk(tree)
+             if isinstance(fn, FUNCTIONS) and fn.args.kwarg is not None
+             and (name, getattr(fn, "name", None)) not in ALLOWED_KWARGS]
+    assert not found, f"functions taking **kwargs: {found}"
 
 
 def _named(node):
