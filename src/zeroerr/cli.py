@@ -164,11 +164,16 @@ def _cmd_graph(args) -> int:
         if getattr(args, opt) is None:
             raise ValueError(f"graph {args.action} requires --{opt}")
     if args.action == "build":
+        if args.n < 0:
+            raise ValueError(f"--n must be nonnegative, got {args.n}")
         edges = []
         if args.edges:
             for token in args.edges.split(","):
-                i, j = token.split("-")
-                edges.append((int(i), int(j)))
+                try:
+                    i, j = map(int, token.split("-"))
+                except ValueError:
+                    raise ValueError(f"--edges token {token!r} is not of the form i-j") from None
+                edges.append((i, j))
         g = graph_from_edges(args.n, edges)
         payload = g.to_json_dict()
         if args.dist:

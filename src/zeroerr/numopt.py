@@ -5,6 +5,14 @@ n d 2^-52 for its rounding), finite-field rank bound.  Each checks its own
 precondition (perfect graphs for capacity, regular ones for theta); no
 caller can vouch for one.
 
+A Koerner solve runs Cover's fixed-point step and has two stop rules.  A
+solve whose step lowers J by less than tol within KORNER_NEWTON_AFTER steps
+stops there, on the step test alone.  A solve still running then is
+stalled, typically with mass draining from sets the optimum leaves empty;
+an active-set Newton finish takes it over and stops only once the Jensen
+gap of `_korner_gap` certifies J within tol of the entropy.  A finish that
+does not get there hands back to the fixed-point step.
+
 Everything is in bits (log base 2).
 """
 
@@ -30,6 +38,8 @@ from .symmetry import is_perfect
 LN2 = math.log(2.0)
 CAPACITY_KORNER_TOL = 1e-10  # Koerner tolerance of each capacity evaluation
 KORNER_MAX_ITER = 100_000  # most fixed-point steps of one Koerner solve
+KORNER_NEWTON_AFTER = 100  # fixed-point steps before a solve tries the Newton finish
+KORNER_NEWTON_STEPS = 30  # most Newton steps of one finish
 KORNER_HISTORY_FLOATS = 4096  # iterate rows one Koerner look-ahead block keeps
 # Largest graph the theta candidate runs on.  eigvalsh is not what limits it:
 # the limit stays until an exact eigenvalue check is timed at 60 and 100 vertices.
@@ -153,16 +163,126 @@ def _korner_block(before: float, last: float, tol: float, k: int) -> int:
     return 2 * k
 
 
-def _korner_gap(member: np.ndarray, p: np.ndarray, cov: np.ndarray) -> float:
-    """log2 max_w sum_{x in w} P(x) / c(x) for a coverage c of the support.
-
-    By Jensen's inequality J(r') >= J(r) - log2 sum_w r'(w) g(w) for every r',
-    with g = M @ (P / c), so J(r) exceeds the Koerner entropy by at most
-    this gap.
-    """
+def _korner_scores(member: np.ndarray, p: np.ndarray, cov: np.ndarray) -> np.ndarray:
+    """g = M @ (P / c), g(w) = sum_{x in w} P(x) / c(x), for a coverage c of
+    the support: minus the gradient of J in natural-log units."""
     ratio = np.zeros(len(p))
     np.divide(p, cov, out=ratio, where=p > 0)
-    return float(np.log2(member.dot(ratio).max()))
+    return member.dot(ratio)
+
+
+def _korner_gap(member: np.ndarray, p: np.ndarray, cov: np.ndarray) -> float:
+    """log2 max_w g(w) for a coverage c of the support (`_korner_scores`).
+
+    By Jensen's inequality J(r') >= J(r) - log2 sum_w r'(w) g(w) for every r',
+    so J(r) exceeds the Koerner entropy by at most this gap.
+    """
+    return float(np.log2(_korner_scores(member, p, cov).max()))
+
+
+def _korner_newton(member: np.ndarray, p: np.ndarray, r: np.ndarray, tol: float):
+    """Active-set Newton steps on J over the simplex, from the r the kernel
+    stopped at; returns (r, c, J, steps) once `_korner_gap` at c = M^T r is
+    at most tol, or None when KORNER_NEWTON_STEPS steps do not get there.
+
+    The active sets A start as the 4 |supp P| + 4 heaviest sets of r, so no
+    dense matrix grows with the set family; the set of largest g joins A
+    when it is outside, in place of the lightest set of A when A is full.
+    Each step minimises the quadratic model of f = J ln 2 at r over the
+    face where the sets outside A are zero.  As f is homogeneous of degree
+    0 in r, its Hessian H = M W M^T, W = diag(P / c^2), satisfies H r = g,
+    so the model's KKT system reads H_AA x_A + lambda 1 = 2 g_A,
+    sum x_A = 1.  lstsq solves it for x_A - r_A, whose right side vanishes
+    at the optimum, so the rounding of the solve shrinks with the step; H_AA
+    is singular when sets cover alike.  While x has a negative entry, a
+    ratio test moves towards it only until the first set of A reaches zero,
+    and that set leaves A before the system is solved again.  The step from
+    r to x is then halved until J does not rise.  Every r is feasible and J
+    is recomputed from the returned one, so J stays an upper bound on the
+    Koerner entropy.
+    """
+    member_t = member.T
+    cols = (p > 0).nonzero()[0]
+    p_s = p[cols]
+    cap = 4 * len(cols) + 4
+    active = sorted(np.argsort(-r, kind="stable")[:cap].tolist())
+    cov = member_t.dot(r)
+    for step in range(KORNER_NEWTON_STEPS + 1):
+        g = _korner_scores(member, p, cov)
+        if math.log2(g.max()) <= tol:
+            return r, cov, -float(np.add.reduce(p_s * np.log2(cov[cols]))), step
+        if step == KORNER_NEWTON_STEPS:
+            return None
+        top = int(g.argmax())
+        if top not in active:
+            if len(active) == cap:
+                active.remove(min(active, key=r.__getitem__))
+            active.append(top)
+        a = member[np.ix_(active, cols)]
+        c_s = cov[cols]
+        weighted = a * (p_s / (c_s * c_s))
+        hessian = weighted.dot(a.T)
+        x, keep = r.copy(), list(range(len(active)))
+        while True:
+            sets = [active[i] for i in keep]
+            k = len(keep)
+            kkt = np.ones((k + 1, k + 1))
+            kkt[:k, :k] = hessian[np.ix_(keep, keep)]
+            kkt[k, k] = 0.0
+            leaving = c_s - a[keep].T.dot(r[sets])  # coverage of the sets set to zero
+            rhs = np.append(g[sets] - 1.0 + weighted[keep].dot(leaving), 1.0 - r[sets].sum())
+            d = -x
+            d[sets] += r[sets] + np.linalg.lstsq(kkt, rhs, rcond=None)[0][:k]
+            falling = (d < 0).nonzero()[0]
+            ratios = x[falling] / -d[falling]
+            t = float(ratios.min(initial=1.0))  # ratio test: x stays >= 0
+            if t >= 1.0:
+                x += d
+                break
+            x += t * d
+            blocking = int(falling[ratios.argmin()])
+            x[blocking] = 0.0
+            keep.remove(active.index(blocking))
+        np.maximum(x, 0.0, out=x)
+        s = 1.0
+        while True:
+            trial = (1.0 - s) * r + s * x
+            trial /= trial.sum()
+            # J(t / |t|) - J(r / |r|) = log2(1 + |dr| / |r|) - sum_x P(x) log2(1 +
+            # dc(x) / c(x)) with dr = t - r and dc = M^T dr: made from the step
+            # itself, it keeps its sign where the two J round alike
+            step_r = trial - r
+            rise = member_t.dot(step_r)[cols] / c_s
+            if rise.min() > -1.0 and (p_s.dot(np.log1p(rise))
+                                      >= math.log1p(step_r.sum() / r.sum())):
+                break
+            s *= 0.5
+            if s < 2.0 ** -30:
+                return None
+        r, cov = trial, member_t.dot(trial)
+        active = [w for w in active if r[w] > 0]
+
+
+def _korner_solve(member: np.ndarray, p: np.ndarray, r0: np.ndarray, tol: float):
+    """One Koerner solve from r0: the kernel for at most KORNER_NEWTON_AFTER
+    steps; if its step test has not stopped it, the Newton finish, which
+    stops only on a gap of at most tol; if that fails, the kernel again
+    from where it stopped, up to KORNER_MAX_ITER steps in all.
+
+    Returns `_korner_iterate`'s (r, c, J, iterations, converged), counting
+    fixed-point and Newton steps alike.  A solve that stops within the
+    first KORNER_NEWTON_AFTER steps, or whose finish fails, gives the bits
+    of the kernel alone.
+    """
+    r, cov, value, iterations, converged = _korner_iterate(
+        member, p, r0, tol, KORNER_NEWTON_AFTER)
+    if converged:
+        return r, cov, value, iterations, converged
+    finish = _korner_newton(member, p, r, tol)
+    if finish is not None:
+        return *finish[:3], iterations + finish[3], True
+    more = _korner_iterate(member, p, r, tol, KORNER_MAX_ITER - iterations)
+    return *more[:3], iterations + more[3], more[4]
 
 
 @solved_once
@@ -178,14 +298,18 @@ def korner_entropy(pg: ProbabilisticGraph, tol: float = 1e-9) -> KornerSolution:
     and the marginal update is r <- r * (M @ (P / c)).  J is non-increasing,
     always an upper bound on the entropy, and converges to it.
 
-    Each call enumerates the sets and starts from the uniform r; the
-    iteration itself is the kernel shared with `perfect_capacity_evaluator`.
+    Each call enumerates the sets and starts from the uniform r; the solve
+    (`_korner_solve`) is the one `perfect_capacity_evaluator` runs.  It stops
+    on the step test within KORNER_NEWTON_AFTER steps, with the bits of the
+    fixed-point kernel alone, or else in the Newton finish, whose r has a
+    Jensen gap of at most tol, so that H_kappa >= value - tol.  `iterations`
+    counts fixed-point and Newton steps alike.
     """
     sets = mis_masks(pg.graph)
     member = _membership(sets, pg.n)
     p = np.array([float(x) for x in pg.dist.weights])
-    r, cov, value, iterations, converged = _korner_iterate(
-        member, p, np.full(len(sets), 1.0 / len(sets)), tol, KORNER_MAX_ITER)
+    r, cov, value, iterations, converged = _korner_solve(
+        member, p, np.full(len(sets), 1.0 / len(sets)), tol)
     return KornerSolution(max(value, 0.0), tuple(sets), r, cov, iterations, converged)
 
 
@@ -224,8 +348,10 @@ def perfect_capacity_evaluator(g: Graph):
     Q*(w|x) = r*(w) 1[x in w] / c(x) the divergence is -log2 c(x).
 
     The maximal independent sets and their membership matrix are built once,
-    when the evaluator is made, and every evaluation runs the Koerner kernel
-    of `korner_entropy`.  Each evaluation after the first starts from the
+    when the evaluator is made, and every evaluation runs the Koerner solve
+    of `korner_entropy`: the fixed-point kernel, stopped by its step test,
+    or the Newton finish, stopped by a certified gap, where the kernel
+    stalls.  Each evaluation after the first starts from the
     previous evaluation's r, with its entries raised to at least 1e-100 so
     that every vertex is covered.  A warm start can still stall near a face
     of the simplex where a set the new P needs has almost no mass, so the
@@ -257,10 +383,9 @@ def perfect_capacity_evaluator(g: Graph):
         p = np.array(w)
         sol = None
         if r is not None:
-            sol = _korner_iterate(member, p, np.maximum(r, 1e-100),
-                                  CAPACITY_KORNER_TOL, KORNER_MAX_ITER)
+            sol = _korner_solve(member, p, np.maximum(r, 1e-100), CAPACITY_KORNER_TOL)
         if sol is None or _korner_gap(member, p, sol[1]) > gap_limit:
-            sol = _korner_iterate(member, p, uniform, CAPACITY_KORNER_TOL, KORNER_MAX_ITER)
+            sol = _korner_solve(member, p, uniform, CAPACITY_KORNER_TOL)
         r, cov, kappa = sol[:3]
         value = -sum(x * math.log2(x) for x in w if x > 0) - max(kappa, 0.0)  # H(P) - H_kappa
         log_p = np.full(g.n, -60.0)

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import zeroerr
-from zeroerr import bounds, cli
+from zeroerr import bounds, cli, numopt
 from zeroerr.cli import main
 
 
@@ -276,6 +276,16 @@ def test_graph_actions_refuse_a_missing_required_option(tmp_path, capsys):
             _refused(capsys, argv, f"graph {action} requires --{missing}")
 
 
+def test_graph_build_refuses_a_negative_vertex_count(capsys):
+    _refused(capsys, ["graph", "build", "--n", "-2"], "--n must be nonnegative, got -2")
+
+
+def test_graph_build_names_a_malformed_edge_token(capsys):
+    for edges, token in (("0", "0"), ("0-1,1", "1"), ("0-1-2", "0-1-2"), ("0-x", "0-x")):
+        _refused(capsys, ["graph", "build", "--n", "3", "--edges", edges],
+                 f"--edges token {token!r} is not of the form i-j")
+
+
 def test_negative_budgets_are_errors(tmp_path, capsys):
     g = tmp_path / "c5.json"
     run(capsys, "graph", "catalog", "--name", "cycle", "--n", "5", "--out", str(g))
@@ -434,3 +444,18 @@ def test_blas_thread_count_does_not_change_theta_payloads(tmp_path, capsys):
         one = _fresh(argv, OPENBLAS_NUM_THREADS="1")
         assert one[0] == 0 and "lovasz_theta_transitive" in one[1]
         assert one == _fresh(argv, OPENBLAS_NUM_THREADS="2")
+
+
+def test_blas_thread_count_does_not_change_a_newton_finished_kappa(tmp_path, capsys):
+    # P4 x N2 at U stalls the fixed-point kernel, so its Koerner solve ends
+    # in the Newton finish, whose steps are LAPACK least-squares solves
+    p4, n2, g = (tmp_path / f"{name}.json" for name in ("p4", "n2", "p4n2"))
+    run(capsys, "graph", "build", "--n", "4", "--edges", "0-1,1-2,2-3", "--out", str(p4))
+    run(capsys, "graph", "build", "--n", "2", "--out", str(n2))
+    run(capsys, "graph", "product", "--graph", str(p4), "--graph2", str(n2), "--out", str(g))
+    argv = ["-m", "zeroerr.cli", "entropy", "kappa", "--graph", str(g), "--tol-bits", "1e-11"]
+    one = _fresh(argv, OPENBLAS_NUM_THREADS="1")
+    payload = json.loads(one[1])
+    assert one[0] == 0 and payload["h_kappa_bits"] == 1.0
+    assert payload["iterations"] > numopt.KORNER_NEWTON_AFTER
+    assert one == _fresh(argv, OPENBLAS_NUM_THREADS="2")

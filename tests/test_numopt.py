@@ -72,22 +72,92 @@ def test_korner_solution_invariants():
         pg = ProbabilisticGraph(g, random_distribution(rng, g.n))
         tol = 1e-11
         sol = korner_entropy(pg, tol)
-        # objective non-increasing, iteration by iteration: one-step kernel
-        # runs chained from the uniform r retrace the solver's loop, as each
-        # recomputes the coverage from r
+        # objective non-increasing over the fixed-point prefix: one-step
+        # kernel runs chained from the uniform r retrace the solver's first
+        # steps, as each recomputes the coverage from r
         member = numopt._membership(sol.sets, g.n)
         p = np.array([float(x) for x in pg.dist.weights])
         r = np.full(len(sol.sets), 1.0 / len(sol.sets))
         js = [numopt._korner_iterate(member, p, r, tol, 0)[2]]
-        for _ in range(sol.iterations):
+        for _ in range(min(sol.iterations, numopt.KORNER_NEWTON_AFTER)):
             r, _, j, _, _ = numopt._korner_iterate(member, p, r, tol, 1)
             js.append(j)
         assert all(b <= a + 1e-12 for a, b in zip(js, js[1:]))
-        assert np.array_equal(r, sol.r) and max(js[-1], 0.0) == sol.value
+        if sol.iterations <= numopt.KORNER_NEWTON_AFTER:
+            assert np.array_equal(r, sol.r) and max(js[-1], 0.0) == sol.value
+        else:  # the Newton finish: certified, and below the prefix's last J
+            _assert_certified(pg, sol, tol)
+            assert sol.value <= js[-1]
         assert [f.name for f in dataclasses.fields(sol)] == [
             "value", "sets", "r", "cov", "iterations", "converged"]
         # matches the grid oracle loosely
         assert sol.value <= korner_grid_oracle(pg, 32) + 1e-9
+
+
+def _assert_certified(pg, sol, tol):
+    """A solve ended by the Newton finish: r on the simplex, c and J made
+    from that r, and the gap of `_korner_gap` at most tol."""
+    member = numopt._membership(sol.sets, pg.n)
+    p = np.array([float(x) for x in pg.dist.weights])
+    support = p > 0
+    assert sol.converged and sol.r.min() >= 0 and abs(sol.r.sum() - 1) <= 1e-12
+    assert np.array_equal(sol.cov, member.T.dot(sol.r))
+    assert sol.value == max(-np.add.reduce(p[support] * np.log2(sol.cov[support])), 0.0)
+    assert numopt._korner_gap(member, p, sol.cov) <= tol
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_korner_p4_copies_reach_the_closed_form(k):
+    # P4 is self-complementary and perfect, so H_kappa(P4, U) + H_kappa(P4, U)
+    # = H(U) = 2 (Csiszar, Koerner, Lovasz, Marton and Simonyi 1990), and
+    # Koerner entropy is linear over the k disjoint copies that P4 x N_k is
+    sol = korner_entropy(uniform_pgraph(and_product_graph(path(4), empty(k))), 1e-10)
+    assert abs(sol.value - 1.0) <= 1e-10
+    assert sol.iterations <= numopt.KORNER_NEWTON_AFTER + 10
+
+
+def test_korner_pair_width_is_certified_on_perfect_graphs():
+    # on a perfect graph H_kappa(G, P) + H_kappa(complement, P) = H(P), and
+    # each J lies within its gap above H_kappa.  Every solve here that runs
+    # past the fixed-point prefix is ended by the Newton finish, certified
+    # within tol; a finish that failed and handed back to the kernel would
+    # fail this test too
+    rng = SplitMix64(53)
+    finishes = 0
+    for trial in range(200):
+        g = sample_perfect_graph(rng, 3, 12)
+        p = _with_zero_weights(rng, g.n) if trial % 2 else random_distribution(rng, g.n)
+        tol = (1e-10, 1e-12, 1e-8)[trial % 3]
+        width, slack = -p.entropy(), 0.0
+        for h in (g, complement(g)):
+            pg = ProbabilisticGraph(h, p)
+            sol = korner_entropy(pg, tol)
+            assert sol.r.min() >= 0
+            if sol.iterations > numopt.KORNER_NEWTON_AFTER:
+                _assert_certified(pg, sol, tol)
+                finishes += 1
+            width += sol.value
+            slack += numopt._korner_gap(numopt._membership(sol.sets, h.n),
+                                        np.array([float(x) for x in p.weights]), sol.cov)
+        assert -1e-12 <= width <= slack + 1e-12
+    assert finishes >= 50
+
+
+def test_korner_newton_from_the_uniform_r_is_certified():
+    # far from the optimum the quadratic model overshoots, and some of these
+    # finishes halve a step; each accepted r stays on the simplex and lowers J
+    rng = SplitMix64(5)
+    for _ in range(60):
+        g = sample_perfect_graph(rng, 3, 12)
+        p = np.array([float(x) for x in random_distribution(rng, g.n).weights])
+        member = numopt._membership(mis_masks(g), g.n)
+        r0 = np.full(len(member), 1.0 / len(member))
+        r, cov, value, _ = numopt._korner_newton(member, p, r0, 1e-10)
+        assert r.min() >= 0 and abs(r.sum() - 1) <= 1e-12
+        assert np.array_equal(cov, member.T.dot(r))
+        assert value == -np.add.reduce(p * np.log2(cov))
+        assert numopt._korner_gap(member, p, cov) <= 1e-10
+        assert value <= -np.add.reduce(p * np.log2(member.T.dot(r0)))
 
 
 def test_korner_union_splitting():
@@ -138,6 +208,10 @@ def test_korner_kernel_matches_reference_loop_exactly():
         for tol in (1e-10, 1e-6):
             sol = korner_entropy(pg, tol)
             value, r, iterations, converged = korner_reference(pg, tol)
+            if iterations > numopt.KORNER_NEWTON_AFTER:  # the Newton finish
+                _assert_certified(pg, sol, tol)
+                assert sol.value <= value + tol
+                continue
             assert sol.value == value
             assert sol.iterations == iterations
             assert sol.converged == converged
@@ -165,6 +239,24 @@ def test_korner_kernel_matches_reference_loop_exactly():
     pg = ProbabilisticGraph(g, _with_zero_weights(rng, g.n))
     for tol, max_iter in ((1e-10, 100_000), (1e-12, 0), (1e-12, 2), (1e-12, 7)):
         _kernel_matches_reference(pg, np.full(4096, 1.0 / 4096), tol, max_iter)
+
+
+def test_korner_failed_newton_finish_resumes_the_kernel_bit_for_bit(monkeypatch):
+    # a finish that does not reach its gap hands back to the kernel, which
+    # goes on from the step it stopped at: the reference loop's bits
+    monkeypatch.setattr(numopt, "_korner_newton", lambda member, p, r, tol: None)
+    rng = SplitMix64(41)
+    resumed = 0
+    for trial in range(30):
+        g = sample_perfect_graph(rng, 3, 12)
+        p = _with_zero_weights(rng, g.n) if trial % 2 else random_distribution(rng, g.n)
+        pg = ProbabilisticGraph(g, p)
+        sol = korner_entropy(pg, 1e-10)
+        value, r, iterations, converged = korner_reference(pg, 1e-10)
+        assert (sol.value, sol.iterations, sol.converged) == (value, iterations, converged)
+        assert np.array_equal(sol.r, r)
+        resumed += iterations > numopt.KORNER_NEWTON_AFTER
+    assert resumed >= 5
 
 
 def _warm_and_fresh(g, first, second):
@@ -267,15 +359,16 @@ def test_capacity_achieving_examples():
 
 
 C4 = graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-P4_N2 = and_product_graph(path(4), empty(2))  # its cold Koerner solve takes 3,868 steps
-Q, E = 0.125064648503553, 0.124935351496447  # the P4 x N2 optimum after 179 steps
+# P4 x N2's cold Koerner solve ends in the Newton finish, exact at the
+# uniform P, which is then optimal at once: C = 3 - 1 = log2 alpha = 2
+P4_N2 = and_product_graph(path(4), empty(2))
 ASCENTS = [
     # (graph, tol, max_iter, dist, value, iterations, converged) as computed
-    # by the loop that tests convergence after every Koerner step
+    # by the loop that tests convergence after every Koerner step; the
+    # P4 x N2 rows are those of its Newton finish
     (cycle(6), 1e-6, 4000, (1 / 6,) * 6, 1.5849625005721772, 1, True),
-    (P4_N2, 1e-9, 200, (Q, Q, E, E, E, E, Q, Q), 2.000000000000001, 179, True),
-    (P4_N2, 1e-12, 60, (0.12506462005223257,) * 2 + (0.12493537994776743,) * 4
-     + (0.12506462005223257,) * 2, 1.9999999999999618, 60, False),
+    (P4_N2, 1e-9, 200, (1 / 8,) * 8, 2.0, 1, True),
+    (P4_N2, 1e-12, 60, (1 / 8,) * 8, 2.0, 1, True),
     (and_product_graph(C4, path(3)), 1e-4, 300,
      (0.12498749531218331, 2.5009375633370702e-05, 0.12498749531218331) * 4,
      1.999899962484213, 170, True),
